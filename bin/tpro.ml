@@ -15,9 +15,26 @@ module Supervisor = Tpro_engine.Supervisor
    parser). *)
 let exit_incomplete = 2
 
-let print_supervision_stderr sup notes =
+(* Every supervised front-end ends the same way: resume notes, the run
+   summary and one line per task the supervisor could not settle go to
+   stderr; then [report] prints the deterministic verdict on stdout (and
+   may exit with its own code); then the run exits 2 if anything was
+   lost. *)
+let finish_campaign sup ~notes ~lost report =
   List.iter (fun n -> Format.eprintf "note: %s@." n) notes;
-  Format.eprintf "%a@." Supervisor.pp_summary (Supervisor.summary sup)
+  Format.eprintf "%a@." Supervisor.pp_summary (Supervisor.summary sup);
+  List.iter (fun (task, msg) -> Format.eprintf "%s lost: %s@." task msg) lost;
+  report ();
+  if lost <> [] then exit exit_incomplete
+
+let lost_trials =
+  List.map (fun { Tpro_fuzz.Driver.trial; error } ->
+      (Printf.sprintf "trial %d" trial, Supervisor.task_error_to_string error))
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
 
 let list_experiments () =
   print_endline "experiments (see DESIGN.md for the paper mapping):";
@@ -38,23 +55,18 @@ let checkpoint_path checkpoint resume =
    checkpoint is in play: print the tables that settled, report the ones
    that did not, exit 2 if the sweep is incomplete. *)
 let run_sweep_supervised ?seeds ?only ~csv ~jobs ~path ~resume () =
+  let open Time_protection.Experiments in
   Supervisor.with_supervisor ~domains:jobs (fun sup ->
-      let sw =
-        Time_protection.Experiments.run_supervised ?seeds ~sup
-          ~checkpoint:path ~resume ?only ()
-      in
-      print_supervision_stderr sup sw.Time_protection.Experiments.sweep_notes;
-      let incomplete = ref false in
-      List.iter
-        (fun (id, r) ->
-          match r with
-          | Ok t -> print_table csv t
-          | Error e ->
-            incomplete := true;
-            Format.eprintf "experiment %s lost: %s@." id
-              (Supervisor.task_error_to_string e))
-        sw.Time_protection.Experiments.tables;
-      if !incomplete then exit exit_incomplete)
+      let sw = run_supervised ?seeds ~sup ~checkpoint:path ~resume ?only () in
+      finish_campaign sup ~notes:sw.sweep_notes
+        ~lost:
+          (List.filter_map
+             (function
+               | id, Error e -> Some ("experiment " ^ id, Supervisor.task_error_to_string e)
+               | _, Ok _ -> None)
+             sw.tables)
+        (fun () ->
+          List.iter (function _, Ok t -> print_table csv t | _, Error _ -> ()) sw.tables))
 
 let run_experiment id seeds csv jobs checkpoint resume =
   match Time_protection.Experiments.by_id id with
@@ -85,8 +97,7 @@ let run_all seeds csv jobs checkpoint resume =
     in
     List.iter (print_table csv) tables
 
-let configs =
-  Time_protection.Presets.standard @ Time_protection.Presets.ablations
+let configs = Time_protection.Presets.known
 
 let verify cfg_name =
   match List.assoc_opt cfg_name configs with
@@ -164,7 +175,10 @@ let run_protocol id message_len =
    preset x latency seed) over the supervisor, compose the per-lemma
    verdict table, and render one theorem per preset.  Exit codes follow
    the lemma semantics: 1 if any lemma is refuted, 2 if an out-of-scope
-   registration is unacknowledged (or evidence was lost), 0 otherwise. *)
+   registration is unacknowledged (or evidence was lost), 0 otherwise.
+   With a checkpoint, a batch is one task per pool domain, so the first
+   snapshot lands as soon as the first tasks settle; without one, every
+   task goes to the pool in a single batch. *)
 let run_prove preset all seeds secrets smoke jobs acknowledge json checkpoint
     checkpoint_every resume =
   let presets =
@@ -188,101 +202,92 @@ let run_prove preset all seeds secrets smoke jobs acknowledge json checkpoint
       if smoke then [ 0; 1 ] else Time_protection.Ni_scenario.default_secrets
     | l -> l
   in
+  let checkpoint = checkpoint_path checkpoint resume in
   Supervisor.with_supervisor ~domains:jobs (fun sup ->
       let open Time_protection.Prove in
-      let o =
-        run ~sup
-          ?checkpoint:(checkpoint_path checkpoint resume)
-          ~checkpoint_every ~resume:(resume <> None) ~acknowledge ~seeds
-          ~secrets ~presets ()
+      let checkpoint_every =
+        match (checkpoint_every, checkpoint) with
+        | Some n, _ -> n
+        | None, Some _ ->
+          Option.fold ~none:1 ~some:Tpro_engine.Pool.size (Supervisor.pool sup)
+        | None, None -> List.length presets * List.length seeds
       in
-      print_supervision_stderr sup o.notes;
-      List.iter
-        (fun r ->
-          Format.printf "%a@." pp_report r;
-          List.iter
-            (fun (i, m) -> Format.eprintf "task %d lost: %s@." i m)
-            r.lost)
-        o.reports;
-      (match json with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (to_json o.reports);
-        close_out oc
-      | None -> ());
-      let any f = List.exists f o.reports in
-      if any (fun r -> r.theorem.Tpro_secmodel.Theorem.refuted <> []) then
-        exit 1
-      else if
-        any (fun r -> r.theorem.Tpro_secmodel.Theorem.unacknowledged <> [])
-      then exit 2
-      else if any (fun r -> r.lost <> []) then exit exit_incomplete)
+      let o =
+        run ~sup ?checkpoint ~checkpoint_every ~resume:(resume <> None)
+          ~acknowledge ~seeds ~secrets ~presets ()
+      in
+      finish_campaign sup ~notes:o.notes
+        ~lost:
+          (List.concat_map
+             (fun r -> List.map (fun (i, m) -> (Printf.sprintf "task %d" i, m)) r.lost)
+             o.reports)
+        (fun () ->
+          List.iter (fun r -> Format.printf "%a@." pp_report r) o.reports;
+          Option.iter (fun path -> write_file path (to_json o.reports)) json;
+          let any f = List.exists f o.reports in
+          if any (fun r -> r.theorem.Tpro_secmodel.Theorem.refuted <> []) then
+            exit 1
+          else if
+            any (fun r -> r.theorem.Tpro_secmodel.Theorem.unacknowledged <> [])
+          then exit 2))
 
-(* Scenario fuzzing: generated workloads checked by the differential
-   security oracles, with shrunk counterexamples persisted for replay.
-   The campaign runs under supervision: one bad task costs one result,
-   the run completes, and the missing trials are reported (exit 2). *)
 (* One replay path for both fuzz and topo: the loader dispatches on the
    file's format line, so either subcommand replays anything the tool
    ever wrote (format-1 scenarios, format-2 topologies, and
    pre-versioning scenario files with no format line). *)
 let run_replay path =
-  match Tpro_fuzz.Replay.load path with
-  | Error (Tpro_fuzz.Scenario.Io msg) ->
+  let open Tpro_fuzz in
+  let verdict = function
+    | Oracle.Pass -> print_endline "replay: PASS"
+    | Oracle.Fail m ->
+      Printf.printf "replay: FAIL: %s\n" m;
+      exit 1
+  in
+  match Replay.load path with
+  | Error (Scenario.Io msg) ->
     Printf.eprintf "cannot replay %s: %s\n" path msg;
     exit 1
-  | Error (Tpro_fuzz.Scenario.Parse pe) ->
-    Format.eprintf "cannot replay %s: %a@." path
-      Tpro_fuzz.Scenario.pp_parse_error pe;
+  | Error (Scenario.Parse pe) ->
+    Format.eprintf "cannot replay %s: %a@." path Scenario.pp_parse_error pe;
     exit 124
-  | Ok (Tpro_fuzz.Replay.Scenario s) -> (
-    Format.printf "replaying %a@." Tpro_fuzz.Scenario.pp s;
-    match Tpro_fuzz.Oracle.check s with
-    | Tpro_fuzz.Oracle.Pass -> print_endline "replay: PASS"
-    | Tpro_fuzz.Oracle.Fail m ->
-      Printf.printf "replay: FAIL: %s\n" m;
-      exit 1)
-  | Ok (Tpro_fuzz.Replay.Topology t) -> (
-    Format.printf "replaying %a@." Tpro_fuzz.Topology.pp t;
-    match Tpro_fuzz.Oracle.check_topology t with
-    | Tpro_fuzz.Oracle.Pass -> print_endline "replay: PASS"
-    | Tpro_fuzz.Oracle.Fail m ->
-      Printf.printf "replay: FAIL: %s\n" m;
-      exit 1)
+  | Ok (Replay.Scenario s) ->
+    Format.printf "replaying %a@." Scenario.pp s;
+    verdict (Oracle.check s)
+  | Ok (Replay.Topology t) ->
+    Format.printf "replaying %a@." Topology.pp t;
+    verdict (Oracle.check_topology t)
 
+(* Scenario fuzzing: generated workloads checked by the differential
+   security oracles, with shrunk counterexamples persisted for replay.
+   The campaign runs under supervision: one bad task costs one result,
+   the run completes, and the missing trials are reported (exit 2). *)
 let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
     resume =
+  let open Tpro_fuzz.Driver in
   match replay with
   | Some path -> run_replay path
   | None ->
     Supervisor.with_supervisor ~domains:jobs (fun sup ->
         let c =
-          Tpro_fuzz.Driver.campaign ~sup ~mutant
+          campaign ~sup ~mutant
             ?checkpoint:(checkpoint_path checkpoint resume)
             ~checkpoint_every ~resume:(resume <> None) ~seed ~trials ()
         in
-        print_supervision_stderr sup c.Tpro_fuzz.Driver.notes;
-        List.iter
-          (fun { Tpro_fuzz.Driver.trial; error } ->
-            Format.eprintf "trial %d lost: %s@." trial
-              (Supervisor.task_error_to_string error))
-          c.Tpro_fuzz.Driver.task_failures;
-        let incomplete = c.Tpro_fuzz.Driver.task_failures <> [] in
-        match c.Tpro_fuzz.Driver.failures with
-        | [] ->
-          Format.printf "fuzz: %d trials (seed %d): zero oracle violations@."
-            trials seed;
-          if incomplete then exit exit_incomplete
-        | f :: _ ->
-          Format.printf "fuzz: %d violation(s) in %d trials (seed %d)@.%a@."
-            (List.length c.Tpro_fuzz.Driver.failures)
-            trials seed Tpro_fuzz.Driver.pp_failure f;
-          Tpro_fuzz.Scenario.save out f.Tpro_fuzz.Driver.shrunk;
-          Format.printf
-            "shrunk counterexample written to %s (replay with: tpro fuzz \
-             --replay %s)@."
-            out out;
-          exit 1)
+        finish_campaign sup ~notes:c.notes ~lost:(lost_trials c.task_failures)
+          (fun () ->
+            match c.failures with
+            | [] ->
+              Format.printf "fuzz: %d trials (seed %d): zero oracle violations@."
+                trials seed
+            | f :: _ ->
+              Format.printf "fuzz: %d violation(s) in %d trials (seed %d)@.%a@."
+                (List.length c.failures) trials seed pp_failure f;
+              Tpro_fuzz.Scenario.save out f.shrunk;
+              Format.printf
+                "shrunk counterexample written to %s (replay with: tpro fuzz \
+                 --replay %s)@."
+                out out;
+              exit 1))
 
 (* Topology campaigns: N-domain/M-core systems with the noninterference
    and capacity oracles demanded pairwise across every (varied,
@@ -290,41 +295,35 @@ let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
    contract as `tpro fuzz`. *)
 let run_topo seed trials jobs mutant max_domains max_cores replay out
     checkpoint checkpoint_every resume =
+  let open Tpro_fuzz.Driver in
   match replay with
   | Some path -> run_replay path
   | None ->
     Supervisor.with_supervisor ~domains:jobs (fun sup ->
         let c =
-          Tpro_fuzz.Driver.topo_campaign ~sup ~mutant
+          topo_campaign ~sup ~mutant
             ?checkpoint:(checkpoint_path checkpoint resume)
             ~checkpoint_every ~resume:(resume <> None) ~max_domains ~max_cores
             ~seed ~trials ()
         in
-        print_supervision_stderr sup c.Tpro_fuzz.Driver.topo_notes;
-        List.iter
-          (fun { Tpro_fuzz.Driver.trial; error } ->
-            Format.eprintf "trial %d lost: %s@." trial
-              (Supervisor.task_error_to_string error))
-          c.Tpro_fuzz.Driver.topo_task_failures;
-        let incomplete = c.Tpro_fuzz.Driver.topo_task_failures <> [] in
-        match c.Tpro_fuzz.Driver.topo_failures with
-        | [] ->
-          Format.printf
-            "topo: %d topologies (seed %d, <=%d domains, <=%d cores): zero \
-             pairwise violations@."
-            trials seed max_domains max_cores;
-          if incomplete then exit exit_incomplete
-        | f :: _ ->
-          Format.printf
-            "topo: %d violation(s) in %d topologies (seed %d)@.%a@."
-            (List.length c.Tpro_fuzz.Driver.topo_failures)
-            trials seed Tpro_fuzz.Driver.pp_topo_failure f;
-          Tpro_fuzz.Topology.save out f.Tpro_fuzz.Driver.topology;
-          Format.printf
-            "counterexample written to %s (replay with: tpro topo --replay \
-             %s)@."
-            out out;
-          exit 1)
+        finish_campaign sup ~notes:c.topo_notes
+          ~lost:(lost_trials c.topo_task_failures) (fun () ->
+            match c.topo_failures with
+            | [] ->
+              Format.printf
+                "topo: %d topologies (seed %d, <=%d domains, <=%d cores): zero \
+                 pairwise violations@."
+                trials seed max_domains max_cores
+            | f :: _ ->
+              Format.printf
+                "topo: %d violation(s) in %d topologies (seed %d)@.%a@."
+                (List.length c.topo_failures) trials seed pp_topo_failure f;
+              Tpro_fuzz.Topology.save out f.topology;
+              Format.printf
+                "counterexample written to %s (replay with: tpro topo --replay \
+                 %s)@."
+                out out;
+              exit 1))
 
 (* The campaign daemon and its client.  `tpro serve` owns a Unix-domain
    socket, journals every accepted job before acknowledging it, and
@@ -365,11 +364,6 @@ let run_serve socket journal resume jobs queue_max deadline retries batch
     stats.recovered_results
     (if stats.degraded then " [degraded]" else "");
   if fault = Torn_journal_crash then exit 1
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 let run_client socket tenant stats shutdown bench count kind deadline window
     json dump id_prefix specs =
@@ -497,12 +491,6 @@ let checkpoint_arg =
            temporary file, fsynced and atomically renamed) so an \
            interrupted run can be resumed with $(b,--resume).")
 
-let checkpoint_every_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:"Trials between checkpoint snapshots (default 200).")
-
 let resume_arg =
   Arg.(
     value
@@ -513,6 +501,21 @@ let resume_arg =
            there — producing output bit-identical to an uninterrupted run.  \
            A missing, corrupt or mismatched checkpoint restarts from \
            scratch with a note on stderr.")
+
+let mutant_arg ~caught_by =
+  let open Tpro_fuzz.Scenario in
+  Arg.(
+    value
+    & opt
+        (enum
+           (List.map
+              (fun m -> (mutant_to_string m, m))
+              [ No_mutant; Skip_flush; Drop_padding; Miscolour ]))
+        No_mutant
+    & info [ "mutant" ]
+        ~doc:
+          ("Inject a defence bypass (skip-flush, drop-padding, miscolour) to \
+            validate that " ^ caught_by ^ "."))
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids")
@@ -631,6 +634,18 @@ let prove_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the per-lemma verdict table as JSON to $(docv).")
   in
+  let checkpoint_every =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:
+            "Evidence tasks (one per preset and latency seed) between \
+             checkpoint snapshots.  Default: one per pool \
+             domain with $(b,--checkpoint)/$(b,--resume), so a snapshot \
+             lands as soon as the first tasks settle; all tasks in one \
+             batch without.")
+  in
   Cmd.v
     (Cmd.info "prove"
        ~doc:
@@ -639,8 +654,7 @@ let prove_cmd =
           under supervision")
     Term.(
       const run_prove $ preset $ all $ seeds_arg $ secrets $ smoke $ jobs_arg
-      $ acknowledge $ json $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg)
+      $ acknowledge $ json $ checkpoint_arg $ checkpoint_every $ resume_arg)
 
 let fuzz_cmd =
   let seed =
@@ -651,23 +665,7 @@ let fuzz_cmd =
   let trials =
     Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Number of trials.")
   in
-  let mutant =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", Tpro_fuzz.Scenario.No_mutant);
-               ("skip-flush", Tpro_fuzz.Scenario.Skip_flush);
-               ("drop-padding", Tpro_fuzz.Scenario.Drop_padding);
-               ("miscolour", Tpro_fuzz.Scenario.Miscolour);
-             ])
-          Tpro_fuzz.Scenario.No_mutant
-      & info [ "mutant" ]
-          ~doc:
-            "Inject a defence bypass (skip-flush, drop-padding, miscolour) \
-             to validate that the oracles catch it.")
-  in
+  let mutant = mutant_arg ~caught_by:"the oracles catch it" in
   let replay =
     Arg.(
       value
@@ -682,6 +680,12 @@ let fuzz_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Where to write the shrunk counterexample on failure.")
   in
+  let checkpoint_every =
+    Arg.(
+      value & opt int 200
+      & info [ "checkpoint-every" ] ~docv:"N"
+          ~doc:"Trials between checkpoint snapshots (default 200).")
+  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
@@ -689,7 +693,7 @@ let fuzz_cmd =
           oracles (noninterference, capacity, legacy equivalence)")
     Term.(
       const run_fuzz $ seed $ trials $ jobs_arg $ mutant $ replay $ out
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
+      $ checkpoint_arg $ checkpoint_every $ resume_arg)
 
 let topo_cmd =
   let seed =
@@ -702,23 +706,7 @@ let topo_cmd =
       value & opt int 200
       & info [ "trials" ] ~doc:"Number of generated topologies.")
   in
-  let mutant =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("none", Tpro_fuzz.Scenario.No_mutant);
-               ("skip-flush", Tpro_fuzz.Scenario.Skip_flush);
-               ("drop-padding", Tpro_fuzz.Scenario.Drop_padding);
-               ("miscolour", Tpro_fuzz.Scenario.Miscolour);
-             ])
-          Tpro_fuzz.Scenario.No_mutant
-      & info [ "mutant" ]
-          ~doc:
-            "Inject a defence bypass (skip-flush, drop-padding, miscolour) \
-             to validate that some domain pair's oracle catches it.")
-  in
+  let mutant = mutant_arg ~caught_by:"some domain pair's oracle catches it" in
   let max_domains =
     Arg.(
       value & opt int 8
@@ -972,7 +960,7 @@ let client_cmd =
 
 let () =
   let info =
-    Cmd.info "tpro" ~version:"1.8.0"
+    Cmd.info "tpro" ~version:"1.9.0"
       ~doc:"Time protection: executable model, attacks and proofs"
   in
   exit

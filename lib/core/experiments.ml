@@ -852,66 +852,15 @@ let ids =
     "e12"; "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervised sweep with checkpoint/resume.
-
-   One task per experiment table, run through the supervisor so a
-   raising table costs one [Error] row instead of the sweep, and the
-   trial grids inside each table still fan out over the supervisor's
-   pool.  Completed tables are serialised into the checkpoint
-   (exact-round-trip, see [Table.serialise]), so a resumed sweep
-   re-renders them byte-identically without recomputing. *)
+(* Supervised sweep with checkpoint/resume: a {!Tpro_engine.Campaign}
+   with one task per table, keyed by position in the selection.  A
+   raising table costs one [Error] row instead of the sweep, the trial
+   grids inside each table still fan out over the supervisor's pool, and
+   settled tables are checkpointed exactly ([Table.serialise]), so a
+   resumed sweep re-renders them byte-identically without recomputing. *)
 
 module Supervisor = Tpro_engine.Supervisor
-module Checkpoint = Tpro_engine.Checkpoint
-
-let sweep_payload ~seeds completed =
-  String.concat "\n"
-    ("kind exp"
-    :: ("seeds " ^ String.concat "," (List.map string_of_int seeds))
-    :: List.map
-         (fun (id, tbl) ->
-           "table " ^ id ^ " " ^ Checkpoint.escape (Table.serialise tbl))
-         completed)
-  ^ "\n"
-
-let parse_sweep ~seeds payload =
-  let kind = ref None and pseeds = ref None and tables = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          match k with
-          | "kind" -> kind := Some v
-          | "seeds" -> pseeds := Some v
-          | "table" -> (
-            match String.index_opt v ' ' with
-            | None -> bad := Some "malformed table entry"
-            | Some j -> (
-              let id = String.sub v 0 j
-              and body = String.sub v (j + 1) (String.length v - j - 1) in
-              match Checkpoint.unescape body with
-              | None -> bad := Some ("malformed escape in table " ^ id)
-              | Some body -> (
-                match Table.deserialise body with
-                | Ok tbl -> tables := (id, tbl) :: !tables
-                | Error e ->
-                  bad := Some (Printf.sprintf "table %s: %s" id e))))
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "exp" then
-      Error "checkpoint is not an experiment sweep"
-    else if
-      !pseeds <> Some (String.concat "," (List.map string_of_int seeds))
-    then Error "checkpoint was written for different seeds"
-    else Ok (List.rev !tables)
+module Campaign = Tpro_engine.Campaign
 
 type sweep = {
   tables : (string * (Table.t, Supervisor.task_error) result) list;
@@ -919,92 +868,39 @@ type sweep = {
   sweep_notes : string list;
 }
 
-let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint
-    ?(resume = false) ?only () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let loaded =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        []
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting sweep from scratch"
-             (Checkpoint.error_to_string e));
-        []
-      | Ok payload -> (
-        match parse_sweep ~seeds payload with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting sweep from scratch" msg);
-          []
-        | Ok tables ->
-          note
-            (Printf.sprintf "resumed sweep: %d table%s already computed"
-               (List.length tables)
-               (if List.length tables = 1 then "" else "s"));
-          tables))
-    | _ -> []
-  in
-  let pool = Supervisor.pool sup in
+let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint ?resume ?only () =
   let selected =
-    let all = List.combine ids (suite ~seeds ?pool ()) in
+    let all = List.combine ids (suite ~seeds ?pool:(Supervisor.pool sup) ()) in
     match only with
     | None -> all
     | Some keep ->
-      List.filter
-        (fun (id, _) -> List.mem (String.lowercase_ascii id) keep)
-        all
+      List.filter (fun (id, _) -> List.mem (String.lowercase_ascii id) keep) all
   in
-  (* [completed] is newest-first; the payload reverses it back into
-     completion order *)
-  let completed =
-    ref
-      (List.rev
-         (List.filter (fun (id, _) -> List.mem_assoc id selected) loaded))
+  let thunks = Array.of_list (List.map snd selected) in
+  let o =
+    Campaign.run ~sup ?checkpoint ?resume
+      {
+        Campaign.kind = "exp";
+        params =
+          [
+            ("seeds", String.concat "," (List.map string_of_int seeds));
+            ("tables", String.concat "," (List.map fst selected));
+          ];
+        keys = List.init (Array.length thunks) Fun.id;
+        execute =
+          (fun ~fuel i ->
+            Supervisor.Fuel.burn fuel;
+            thunks.(i) ());
+        codec = { Campaign.encode = Table.serialise; decode = Table.deserialise };
+        batch = 1;
+        label = "experiment-table";
+      }
   in
-  let reused = List.length !completed in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (sweep_payload ~seeds (List.rev !completed))
-  in
-  let tables =
-    List.mapi
-      (fun i (id, thunk) ->
-        match List.assoc_opt id !completed with
-        | Some tbl -> (id, Ok tbl)
-        | None -> (
-          let r =
-            match
-              Supervisor.run sup ~label:"experiment-table"
-                ~key:(fun _ -> i)
-                (fun ~fuel () ->
-                  Supervisor.Fuel.burn fuel;
-                  thunk ())
-                [ () ]
-            with
-            | [ r ] -> r
-            | _ -> assert false
-          in
-          (match r with
-          | Ok tbl ->
-            completed := (id, tbl) :: !completed;
-            save_state ()
-          | Error _ -> ());
-          (id, r)))
-      selected
-  in
-  { tables; sweep_resumed = reused; sweep_notes = List.rev !notes }
+  {
+    tables = List.map2 (fun (id, _) (_, r) -> (id, r)) selected o.Campaign.results;
+    sweep_resumed = o.Campaign.resumed;
+    sweep_notes = o.Campaign.notes;
+  }
 
 let by_id id =
   match String.lowercase_ascii id with

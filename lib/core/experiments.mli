@@ -135,14 +135,16 @@ val run_supervised :
   ?only:string list ->
   unit ->
   sweep
-(** The suite under supervision: each table is one supervised task
-    (typed failure, bounded retry), and each capacity table's trial
-    grid fans out over the supervisor's pool.  With [?checkpoint],
-    every completed table is serialised into a crash-safe snapshot;
-    with [~resume:true] those tables are reloaded and re-rendered
-    byte-identically instead of recomputed.  A corrupt or mismatched
-    checkpoint restarts the sweep from scratch with a note.  [?only]
-    restricts the sweep to the given lowercase ids (for [tpro exp]). *)
+(** The suite under supervision, as a {!Tpro_engine.Campaign} of kind
+    [exp]: each table is one supervised task (typed failure, bounded
+    retry), keyed by its position in the selection, and each capacity
+    table's trial grid fans out over the supervisor's pool.  With
+    [?checkpoint], every settled table is serialised into a crash-safe
+    snapshot; with [~resume:true] those tables are reloaded and
+    re-rendered byte-identically instead of recomputed.  A damaged
+    checkpoint, or one written for other seeds or another selection,
+    restarts the sweep from scratch with a note.  [?only] restricts the
+    sweep to the given lowercase ids (for [tpro exp]). *)
 
 val by_id :
   string ->

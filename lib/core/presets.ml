@@ -21,27 +21,6 @@ let without_irq_partitioning = { full with Kernel.partition_irqs = false }
 let without_deterministic_delivery =
   { full with Kernel.deterministic_delivery = false }
 
-let known =
-  [
-    ("none", none);
-    ("full", full);
-    ("flush+pad", flush_pad);
-    ("colour-only", colour_only);
-    ("full\\flush", without_flush);
-    ("full\\pad", without_pad);
-    ("full\\colour", without_colouring);
-    ("full\\clone", without_clone);
-    ("full\\irq-part", without_irq_partitioning);
-    ("full\\det-ipc", without_deterministic_delivery);
-  ]
-
-let by_name n = Option.map snd (List.find_opt (fun (n', _) -> n' = n) known)
-
-let name cfg =
-  match List.find_opt (fun (_, c) -> c = cfg) known with
-  | Some (n, _) -> n
-  | None -> Format.asprintf "%a" Kernel.pp_config cfg
-
 let standard =
   [ ("none", none); ("flush+pad", flush_pad); ("colour-only", colour_only);
     ("full", full) ]
@@ -56,3 +35,15 @@ let ablations =
     ("full\\irq-part", without_irq_partitioning);
     ("full\\det-ipc", without_deterministic_delivery);
   ]
+
+(* [full] heads the ablation grid and closes the standard four: list it
+   once *)
+let known =
+  standard @ List.filter (fun (n, _) -> not (List.mem_assoc n standard)) ablations
+
+let by_name n = Option.map snd (List.find_opt (fun (n', _) -> n' = n) known)
+
+let name cfg =
+  match List.find_opt (fun (_, c) -> c = cfg) known with
+  | Some (n, _) -> n
+  | None -> Format.asprintf "%a" Kernel.pp_config cfg

@@ -29,8 +29,9 @@ val name : Kernel.config -> string
 (** Preset name if recognised, else a flag summary. *)
 
 val known : (string * Kernel.config) list
-(** Every named preset, in declaration order: the standard four plus each
-    single-mechanism knockout. *)
+(** Every named preset once: {!standard}, then the knockouts of
+    {!ablations}.  [tpro prove --all] proves exactly these, in this
+    order. *)
 
 val by_name : string -> Kernel.config option
 (** Inverse of {!name} over {!known}. *)

@@ -3,15 +3,15 @@
 
    A task is one (preset, latency seed): it runs [Theorem.collect] —
    the five kernel obligations plus one full unwinding sweep per secret
-   pair — and returns the serialised evidence.  Tasks are pure functions
-   of (preset, seed, secrets), so a resumed run recomposes a theorem
-   bit-identical to an uninterrupted one; the checkpoint stores each
-   task's evidence blob as a single escaped line.  Composition (reading
+   pair — and returns the evidence.  Tasks are pure functions of
+   (preset, seed, secrets), so a resumed run recomposes a theorem
+   bit-identical to an uninterrupted one; the campaign checkpoint holds
+   each settled task's serialised evidence.  Composition (reading
    verdicts off the evidence, scope acknowledgements, the per-kind
    exhaustive small-model lemmas) happens at the end, in-process. *)
 
 module Supervisor = Tpro_engine.Supervisor
-module Checkpoint = Tpro_engine.Checkpoint
+module Campaign = Tpro_engine.Campaign
 open Tpro_secmodel
 
 type report = {
@@ -35,87 +35,15 @@ type outcome = {
 let build_for ~cfg ~seed ~secret =
   Ni_scenario.build_with ~with_btb:true ~cfg ~seed ~secret
 
-let collect_task ~cfg ~seed ~secrets =
+let evidence_task ~cfg ~seed ~secrets =
   Theorem.collect ~seed ~build:(fun ~secret -> build_for ~cfg ~seed ~secret)
     ~secrets ()
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint format: header lines pinning the campaign parameters,
-   then one line per settled task holding its escaped evidence blob. *)
-
-let header ~seeds ~secrets ~presets =
-  [
-    "kind prove";
-    "seeds " ^ String.concat "," (List.map string_of_int seeds);
-    "secrets " ^ String.concat "," (List.map string_of_int secrets);
-    "presets " ^ String.concat "," (List.map fst presets);
-  ]
-
-let state_payload ~seeds ~secrets ~presets ~evidence =
-  let tasks =
-    List.sort compare (Hashtbl.fold (fun i ev acc -> (i, ev) :: acc) evidence [])
-  in
-  String.concat "\n"
-    (header ~seeds ~secrets ~presets
-    @ List.map
-        (fun (i, ev) ->
-          Printf.sprintf "task %d %s" i
-            (Checkpoint.escape (Theorem.evidence_to_string ev)))
-        tasks)
-  ^ "\n"
-
-let parse_state ~seeds ~secrets ~presets payload =
-  let expected = header ~seeds ~secrets ~presets in
-  let lines =
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' payload)
-  in
-  let rec split_header hs ls =
-    match (hs, ls) with
-    | [], rest -> Ok rest
-    | h :: _, [] -> Error (Printf.sprintf "checkpoint truncated before `%s`" h)
-    | h :: hs', l :: ls' ->
-      if l = h then split_header hs' ls'
-      else Error (Printf.sprintf "checkpoint parameter mismatch: `%s`" l)
-  in
-  match split_header expected lines with
-  | Error _ as e -> e
-  | Ok task_lines ->
-    let tbl = Hashtbl.create 16 in
-    let bad = ref None in
-    (* "task <idx> <blob>": the escaped blob is newline/tab-free but
-       contains spaces, so split off exactly the first two tokens *)
-    let split3 line =
-      match String.index_opt line ' ' with
-      | None -> None
-      | Some i -> (
-        let rest = String.sub line (i + 1) (String.length line - i - 1) in
-        match String.index_opt rest ' ' with
-        | None -> None
-        | Some j ->
-          Some
-            ( String.sub line 0 i,
-              String.sub rest 0 j,
-              String.sub rest (j + 1) (String.length rest - j - 1) ))
-    in
-    List.iter
-      (fun line ->
-        if !bad = None then
-          match split3 line with
-          | Some ("task", idx, blob) -> (
-            match
-              (int_of_string_opt idx, Checkpoint.unescape blob)
-            with
-            | Some i, Some ev_str -> (
-              match Theorem.evidence_of_string ev_str with
-              | Ok ev -> Hashtbl.replace tbl i ev
-              | Error m ->
-                bad := Some (Printf.sprintf "task %s evidence: %s" idx m))
-            | _ -> bad := Some ("malformed task line: " ^ line))
-          | Some _ | None -> bad := Some ("unknown state line: " ^ line))
-      task_lines;
-    (match !bad with Some m -> Error m | None -> Ok tbl)
+let evidence_codec =
+  {
+    Campaign.encode = Theorem.evidence_to_string;
+    decode = Theorem.evidence_of_string;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Composition for one preset, given its per-seed evidence. *)
@@ -155,109 +83,54 @@ let compose_preset ?(acknowledge = []) ?(exhaustive = true) ~name ~cfg ~seeds
 
 (* ------------------------------------------------------------------ *)
 
-let run ~sup ?checkpoint ?(checkpoint_every = 1) ?(resume = false)
-    ?(acknowledge = []) ?(exhaustive = true) ?(seeds = Ni_scenario.default_seeds)
+let run ~sup ?checkpoint ?(checkpoint_every = 1) ?resume ?(acknowledge = [])
+    ?(exhaustive = true) ?(seeds = Ni_scenario.default_seeds)
     ?(secrets = Ni_scenario.default_secrets) ~presets () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
   (* task index i = preset (i / |seeds|), seed (i mod |seeds|) *)
   let n_seeds = List.length seeds in
-  let n_tasks = List.length presets * n_seeds in
-  let task_cfg i = snd (List.nth presets (i / n_seeds)) in
-  let task_seed i = List.nth seeds (i mod n_seeds) in
-  let evidence : (int, Theorem.seed_evidence) Hashtbl.t =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        Hashtbl.create 16
-      | Error e ->
-        note
-          (Printf.sprintf "checkpoint rejected (%s); restarting from scratch"
-             (Checkpoint.error_to_string e));
-        Hashtbl.create 16
-      | Ok payload -> (
-        match parse_state ~seeds ~secrets ~presets payload with
-        | Error msg ->
-          note
-            (Printf.sprintf "checkpoint rejected (%s); restarting from scratch"
-               msg);
-          Hashtbl.create 16
-        | Ok tbl ->
-          Hashtbl.iter
-            (fun i _ -> if i < 0 || i >= n_tasks then Hashtbl.remove tbl i)
-            (Hashtbl.copy tbl);
-          note
-            (Printf.sprintf "resumed with %d/%d tasks already collected"
-               (Hashtbl.length tbl) n_tasks);
-          tbl))
-    | _ -> Hashtbl.create 16
-  in
-  let resumed_tasks = Hashtbl.length evidence in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (state_payload ~seeds ~secrets ~presets ~evidence)
-  in
-  let todo =
-    List.filter
-      (fun i -> not (Hashtbl.mem evidence i))
-      (List.init n_tasks Fun.id)
-  in
-  let lost = Hashtbl.create 4 in
-  let every = max 1 checkpoint_every in
-  let rec drive = function
-    | [] -> ()
-    | batch_src ->
-      let rec take n = function
-        | x :: r when n > 0 ->
-          let xs, rest = take (n - 1) r in
-          (x :: xs, rest)
-        | rest -> ([], rest)
-      in
-      let batch, rest = take every batch_src in
-      let results =
-        Supervisor.run sup ~label:"prove-evidence" ~key:Fun.id
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let o =
+    Campaign.run ~sup ?checkpoint ?resume
+      {
+        Campaign.kind = "prove";
+        params =
+          [
+            ("seeds", ints seeds);
+            ("secrets", ints secrets);
+            ("presets", String.concat "," (List.map fst presets));
+          ];
+        keys = List.init (List.length presets * n_seeds) Fun.id;
+        execute =
           (fun ~fuel i ->
             Supervisor.Fuel.burn fuel;
-            collect_task ~cfg:(task_cfg i) ~seed:(task_seed i) ~secrets)
-          batch
-      in
-      List.iter2
-        (fun i -> function
-          | Ok ev -> Hashtbl.replace evidence i ev
-          | Error e ->
-            Hashtbl.replace lost i (Supervisor.task_error_to_string e))
-        batch results;
-      save_state ();
-      drive rest
+            evidence_task
+              ~cfg:(snd (List.nth presets (i / n_seeds)))
+              ~seed:(List.nth seeds (i mod n_seeds))
+              ~secrets);
+        codec = evidence_codec;
+        batch = checkpoint_every;
+        label = "prove-evidence";
+      }
   in
-  drive todo;
   let reports =
     List.mapi
       (fun p (name, cfg) ->
-        let ev =
-          List.filter_map
-            (fun s -> Hashtbl.find_opt evidence ((p * n_seeds) + s))
-            (List.init n_seeds Fun.id)
+        let mine = List.filter (fun (i, _) -> i / n_seeds = p) o.Campaign.results in
+        let evidence =
+          List.filter_map (function _, Ok ev -> Some ev | _, Error _ -> None) mine
         in
         let lost =
           List.filter_map
-            (fun s ->
-              let i = (p * n_seeds) + s in
-              Option.map (fun m -> (i, m)) (Hashtbl.find_opt lost i))
-            (List.init n_seeds Fun.id)
+            (function
+              | i, Error e -> Some (i, Supervisor.task_error_to_string e)
+              | _, Ok _ -> None)
+            mine
         in
         compose_preset ~acknowledge ~exhaustive ~name ~cfg ~seeds ~secrets
-          ~evidence:ev ~lost ())
+          ~evidence ~lost ())
       presets
   in
-  { reports; notes = List.rev !notes; resumed_tasks }
+  { reports; notes = o.Campaign.notes; resumed_tasks = o.Campaign.resumed }
 
 (* ------------------------------------------------------------------ *)
 

@@ -28,6 +28,15 @@ type outcome = {
   resumed_tasks : int;
 }
 
+val evidence_task :
+  cfg:Kernel.config -> seed:int -> secrets:int list -> Theorem.seed_evidence
+(** One evidence task: {!Tpro_secmodel.Theorem.collect} for [cfg] at
+    latency seed [seed] on the proving scenario (the standard one with
+    the BTB enabled). *)
+
+val evidence_codec : Theorem.seed_evidence Tpro_engine.Campaign.codec
+(** {!Tpro_secmodel.Theorem.evidence_to_string} and its inverse. *)
+
 val run :
   sup:Tpro_engine.Supervisor.t ->
   ?checkpoint:string ->
@@ -40,10 +49,12 @@ val run :
   presets:(string * Kernel.config) list ->
   unit ->
   outcome
-(** Defaults: checkpoint every task, seeds/secrets as in {!Ni_scenario},
-    exhaustive small-model lemmas on.  [acknowledge] names out-of-scope
-    resources whose [scope:] lemmas are accepted; any other out-of-scope
-    registration refutes the composed theorem. *)
+(** Evidence collection is a {!Tpro_engine.Campaign} of kind [prove],
+    [checkpoint_every] tasks per batch (default 1).  Defaults:
+    seeds/secrets as in {!Ni_scenario}, exhaustive small-model lemmas
+    on.  [acknowledge] names out-of-scope resources whose [scope:]
+    lemmas are accepted; any other out-of-scope registration refutes the
+    composed theorem. *)
 
 val pp_report : Format.formatter -> report -> unit
 

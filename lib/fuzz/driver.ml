@@ -1,6 +1,6 @@
 module Pool = Tpro_engine.Pool
 module Supervisor = Tpro_engine.Supervisor
-module Checkpoint = Tpro_engine.Checkpoint
+module Campaign = Tpro_engine.Campaign
 
 type failure = {
   scenario : Scenario.t;
@@ -34,43 +34,90 @@ let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
   map_trials ?pool f (List.init trials Fun.id)
   |> List.filter_map Fun.id |> List.map shrink_failure
 
-(* First failing trial within [budget], scanning in blocks so a pool can
-   be used without losing the early exit.  Returns how many trials were
-   needed (the failing trial's 1-based position) with the shrunk
-   counterexample. *)
-let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
+(* First trial within [budget] for which [f] answers [Some], scanning in
+   blocks so a pool can be used without losing the early exit.  Returns
+   the trial's 1-based position with the answer. *)
+let first_in_blocks ?pool ~label ~budget f =
   let block = match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16 in
   let rec go start =
     if start >= budget then None
-    else begin
+    else
       let n = min block (budget - start) in
-      let f i = check_one (Scenario.generate ~seed ~mutant i) in
-      let results = map_trials ?pool f (List.init n (fun i -> start + i)) in
-      let rec first i = function
-        | [] -> None
-        | Some fail :: _ -> Some (start + i + 1, shrink_failure fail)
-        | None :: rest -> first (i + 1) rest
-      in
-      match first 0 results with
-      | Some r -> Some r
+      let results = map_trials ?pool ~label f (List.init n (fun i -> start + i)) in
+      match List.find_mapi (fun i r -> Option.map (fun x -> (start + i + 1, x)) r) results with
+      | Some _ as found -> found
       | None -> go (start + n)
-    end
   in
   go 0
 
-(* ------------------------------------------------------------------ *)
-(* Supervised campaign: fault-tolerant fan-out with crash-safe
-   checkpoint/resume.
+let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
+  first_in_blocks ?pool ~label:"fuzz-trial" ~budget (fun i ->
+      check_one (Scenario.generate ~seed ~mutant i))
+  |> Option.map (fun (used, fail) -> (used, shrink_failure fail))
 
-   The checkpoint records only (seed, mutant, trials completed, failing
-   trial indices): every scenario and every verdict regenerates
-   deterministically from those integers, so a resumed campaign's final
-   report — including the shrunk counterexamples — is bit-identical to
-   an uninterrupted run.  Shrinking is deferred to the end of the
-   campaign for the same reason: it re-derives from the recorded
-   indices no matter how many times the process died in between. *)
+(* ------------------------------------------------------------------ *)
+(* Supervised campaigns: one {!Campaign} task per trial index, whose
+   result is the oracle's verdict.  Every scenario regenerates
+   deterministically from its index, so a resumed campaign's report —
+   shrunk counterexamples included — is bit-identical to an
+   uninterrupted run.  Shrinking is deferred to the end for the same
+   reason. *)
+
+let verdict_codec =
+  {
+    Campaign.encode =
+      (function
+      | Oracle.Pass -> "pass"
+      | Oracle.Fail m -> "fail " ^ Tpro_engine.Frame.escape m);
+    decode =
+      (fun s ->
+        if s = "pass" then Ok Oracle.Pass
+        else if String.starts_with ~prefix:"fail " s then
+          match Tpro_engine.Frame.unescape (String.sub s 5 (String.length s - 5)) with
+          | Some m -> Ok (Oracle.Fail m)
+          | None -> Error "malformed escape in verdict"
+        else Error ("not a verdict: " ^ s));
+  }
+
+let fuzz_task ~fuel ~seed ~mutant i =
+  let s = Scenario.generate ~seed ~mutant i in
+  Supervisor.Fuel.burn ~amount:(Scenario.size s) fuel;
+  Oracle.check s
+
+let topo_task ~fuel ~seed ~mutant ~max_domains ~max_cores i =
+  let t = Topology.generate ~seed ~mutant ~max_domains ~max_cores i in
+  Supervisor.Fuel.burn ~amount:(Topology.size t) fuel;
+  Oracle.check_topology t
 
 type task_failure = { trial : int; error : Supervisor.task_error }
+
+(* Run [trials] verdict tasks as one campaign; return the failing trials
+   (index, message) and the lost ones, both in trial order. *)
+let verdict_campaign ~sup ?checkpoint ?resume ~kind ~params ~label ~batch
+    ~trials execute =
+  let o =
+    Campaign.run ~sup ?checkpoint ?resume
+      {
+        Campaign.kind;
+        params;
+        keys = List.init trials Fun.id;
+        execute;
+        codec = verdict_codec;
+        batch;
+        label;
+      }
+  in
+  let failing =
+    List.filter_map
+      (function i, Ok (Oracle.Fail m) -> Some (i, m) | _ -> None)
+      o.Campaign.results
+  in
+  let lost =
+    List.filter_map
+      (function trial, Error error -> Some { trial; error } | _, Ok _ -> None)
+      o.Campaign.results
+  in
+  (failing, lost, o)
 
 type campaign = {
   failures : failure list;
@@ -80,152 +127,24 @@ type campaign = {
   notes : string list;
 }
 
-let state_payload ~seed ~mutant ~completed ~failing =
-  String.concat "\n"
-    ([
-       "kind fuzz";
-       "seed " ^ string_of_int seed;
-       "mutant " ^ Scenario.mutant_to_string mutant;
-       "done " ^ string_of_int completed;
-     ]
-    @ List.map (fun i -> "fail " ^ string_of_int i) failing)
-  ^ "\n"
-
-let parse_state ~seed ~mutant payload =
-  let kind = ref None
-  and pseed = ref None
-  and pmutant = ref None
-  and completed = ref None
-  and fails = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          let int_or k' =
-            match int_of_string_opt v with
-            | Some n -> Some n
-            | None ->
-              bad := Some (Printf.sprintf "state key `%s` wants an integer" k');
-              None
-          in
-          match k with
-          | "kind" -> kind := Some v
-          | "seed" -> pseed := int_or k
-          | "mutant" -> pmutant := Some v
-          | "done" -> completed := int_or k
-          | "fail" -> (
-            match int_or k with
-            | Some n -> fails := n :: !fails
-            | None -> ())
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "fuzz" then Error "checkpoint is not a fuzz campaign"
-    else if !pseed <> Some seed then
-      Error "checkpoint was written for a different seed"
-    else if !pmutant <> Some (Scenario.mutant_to_string mutant) then
-      Error "checkpoint was written for a different mutant"
-    else
-      match !completed with
-      | None -> Error "checkpoint has no `done` count"
-      | Some d -> Ok (d, List.rev !fails)
-
 let campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
-    ?(checkpoint_every = 200) ?(resume = false) ~seed ~trials () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let start, failing0 =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        (0, [])
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting campaign from scratch"
-             (Checkpoint.error_to_string e));
-        (0, [])
-      | Ok payload -> (
-        match parse_state ~seed ~mutant payload with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting campaign from scratch"
-               msg);
-          (0, [])
-        | Ok (d, _) when d > trials ->
-          note
-            (Printf.sprintf
-               "checkpoint covers %d trials but only %d were requested; \
-                restarting campaign from scratch"
-               d trials);
-          (0, [])
-        | Ok (d, fails) ->
-          note
-            (Printf.sprintf
-               "resumed at trial %d (%d violation%s already recorded)" d
-               (List.length fails)
-               (if List.length fails = 1 then "" else "s"));
-          (d, fails)))
-    | _ -> (0, [])
-  in
-  let failing = ref (List.rev failing0) (* newest first *) in
-  let task_failures = ref [] in
-  let pos = ref start in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (state_payload ~seed ~mutant ~completed:!pos
-           ~failing:(List.rev !failing))
-  in
-  let every = max 1 checkpoint_every in
-  while !pos < trials do
-    let n = min every (trials - !pos) in
-    let idxs = List.init n (fun i -> !pos + i) in
-    let results =
-      Supervisor.run sup ~label:"fuzz-trial" ~key:Fun.id
-        (fun ~fuel i ->
-          let s = Scenario.generate ~seed ~mutant i in
-          Supervisor.Fuel.burn ~amount:(Scenario.size s) fuel;
-          check_one s)
-        idxs
-    in
-    List.iter2
-      (fun i -> function
-        | Ok None -> ()
-        | Ok (Some _) -> failing := i :: !failing
-        | Error error ->
-          task_failures := { trial = i; error } :: !task_failures)
-      idxs results;
-    pos := !pos + n;
-    save_state ()
-  done;
-  let failures =
-    List.filter_map
-      (fun i ->
-        Option.map shrink_failure
-          (check_one (Scenario.generate ~seed ~mutant i)))
-      (List.rev !failing)
+    ?(checkpoint_every = 200) ?resume ~seed ~trials () =
+  let failing, task_failures, o =
+    verdict_campaign ~sup ?checkpoint ?resume ~kind:"fuzz"
+      ~params:
+        [ ("seed", string_of_int seed); ("mutant", Scenario.mutant_to_string mutant) ]
+      ~label:"fuzz-trial" ~batch:checkpoint_every ~trials
+      (fuzz_task ~seed ~mutant)
   in
   {
-    failures;
+    failures =
+      List.map
+        (fun (i, m) -> shrink_failure (Scenario.generate ~seed ~mutant i, m))
+        failing;
     trials;
-    resumed_from = start;
-    task_failures = List.rev !task_failures;
-    notes = List.rev !notes;
+    resumed_from = o.Campaign.resumed;
+    task_failures;
+    notes = o.Campaign.notes;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -256,29 +175,8 @@ let topo_run ?pool ?(mutant = Scenario.No_mutant) ?max_domains ?max_cores ~seed
 
 let topo_first_failure ?pool ?(mutant = Scenario.No_mutant) ?max_domains
     ?max_cores ~seed ~budget () =
-  let block = match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16 in
-  let f i =
-    check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i)
-  in
-  let rec go start =
-    if start >= budget then None
-    else begin
-      let n = min block (budget - start) in
-      let results =
-        map_trials ?pool ~label:"topo-trial" f
-          (List.init n (fun i -> start + i))
-      in
-      let rec first i = function
-        | [] -> None
-        | Some fail :: _ -> Some (start + i + 1, fail)
-        | None :: rest -> first (i + 1) rest
-      in
-      match first 0 results with
-      | Some r -> Some r
-      | None -> go (start + n)
-    end
-  in
-  go 0
+  first_in_blocks ?pool ~label:"topo-trial" ~budget (fun i ->
+      check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i))
 
 type topo_campaign = {
   topo_failures : topo_failure list;
@@ -288,162 +186,34 @@ type topo_campaign = {
   topo_notes : string list;
 }
 
-let topo_state_payload ~seed ~mutant ~max_domains ~max_cores ~completed
-    ~failing =
-  String.concat "\n"
-    ([
-       "kind topo";
-       "seed " ^ string_of_int seed;
-       "mutant " ^ Scenario.mutant_to_string mutant;
-       "domains " ^ string_of_int max_domains;
-       "cores " ^ string_of_int max_cores;
-       "done " ^ string_of_int completed;
-     ]
-    @ List.map (fun i -> "fail " ^ string_of_int i) failing)
-  ^ "\n"
-
-let parse_topo_state ~seed ~mutant ~max_domains ~max_cores payload =
-  let kind = ref None
-  and pseed = ref None
-  and pmutant = ref None
-  and pdomains = ref None
-  and pcores = ref None
-  and completed = ref None
-  and fails = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          let int_or k' =
-            match int_of_string_opt v with
-            | Some n -> Some n
-            | None ->
-              bad := Some (Printf.sprintf "state key `%s` wants an integer" k');
-              None
-          in
-          match k with
-          | "kind" -> kind := Some v
-          | "seed" -> pseed := int_or k
-          | "mutant" -> pmutant := Some v
-          | "domains" -> pdomains := int_or k
-          | "cores" -> pcores := int_or k
-          | "done" -> completed := int_or k
-          | "fail" -> (
-            match int_or k with
-            | Some n -> fails := n :: !fails
-            | None -> ())
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "topo" then Error "checkpoint is not a topology campaign"
-    else if !pseed <> Some seed then
-      Error "checkpoint was written for a different seed"
-    else if !pmutant <> Some (Scenario.mutant_to_string mutant) then
-      Error "checkpoint was written for a different mutant"
-    else if !pdomains <> Some max_domains then
-      Error "checkpoint was written for a different --domains bound"
-    else if !pcores <> Some max_cores then
-      Error "checkpoint was written for a different --cores bound"
-    else
-      match !completed with
-      | None -> Error "checkpoint has no `done` count"
-      | Some d -> Ok (d, List.rev !fails)
-
 let topo_campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
-    ?(checkpoint_every = 50) ?(resume = false) ?(max_domains = 8)
-    ?(max_cores = 4) ~seed ~trials () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let gen i = Topology.generate ~seed ~mutant ~max_domains ~max_cores i in
-  let start, failing0 =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        (0, [])
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting campaign from scratch"
-             (Checkpoint.error_to_string e));
-        (0, [])
-      | Ok payload -> (
-        match parse_topo_state ~seed ~mutant ~max_domains ~max_cores payload
-        with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting campaign from scratch"
-               msg);
-          (0, [])
-        | Ok (d, _) when d > trials ->
-          note
-            (Printf.sprintf
-               "checkpoint covers %d trials but only %d were requested; \
-                restarting campaign from scratch"
-               d trials);
-          (0, [])
-        | Ok (d, fails) ->
-          note
-            (Printf.sprintf
-               "resumed at trial %d (%d violation%s already recorded)" d
-               (List.length fails)
-               (if List.length fails = 1 then "" else "s"));
-          (d, fails)))
-    | _ -> (0, [])
-  in
-  let failing = ref (List.rev failing0) (* newest first *) in
-  let task_failures = ref [] in
-  let pos = ref start in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (topo_state_payload ~seed ~mutant ~max_domains ~max_cores
-           ~completed:!pos ~failing:(List.rev !failing))
-  in
-  let every = max 1 checkpoint_every in
-  while !pos < trials do
-    let n = min every (trials - !pos) in
-    let idxs = List.init n (fun i -> !pos + i) in
-    let results =
-      Supervisor.run sup ~label:"topo-trial" ~key:Fun.id
-        (fun ~fuel i ->
-          let t = gen i in
-          Supervisor.Fuel.burn ~amount:(Topology.size t) fuel;
-          Option.is_some (check_one_topo t))
-        idxs
-    in
-    List.iter2
-      (fun i -> function
-        | Ok false -> ()
-        | Ok true -> failing := i :: !failing
-        | Error error ->
-          task_failures := { trial = i; error } :: !task_failures)
-      idxs results;
-    pos := !pos + n;
-    save_state ()
-  done;
-  let failures = List.filter_map (fun i -> check_one_topo (gen i))
-      (List.rev !failing)
+    ?(checkpoint_every = 50) ?resume ?(max_domains = 8) ?(max_cores = 4) ~seed
+    ~trials () =
+  let failing, task_failures, o =
+    verdict_campaign ~sup ?checkpoint ?resume ~kind:"topo"
+      ~params:
+        [
+          ("seed", string_of_int seed);
+          ("mutant", Scenario.mutant_to_string mutant);
+          ("domains", string_of_int max_domains);
+          ("cores", string_of_int max_cores);
+        ]
+      ~label:"topo-trial" ~batch:checkpoint_every ~trials
+      (topo_task ~seed ~mutant ~max_domains ~max_cores)
   in
   {
-    topo_failures = failures;
+    topo_failures =
+      List.map
+        (fun (i, topo_message) ->
+          {
+            topology = Topology.generate ~seed ~mutant ~max_domains ~max_cores i;
+            topo_message;
+          })
+        failing;
     topo_trials = trials;
-    topo_resumed_from = start;
-    topo_task_failures = List.rev !task_failures;
-    topo_notes = List.rev !notes;
+    topo_resumed_from = o.Campaign.resumed;
+    topo_task_failures = task_failures;
+    topo_notes = o.Campaign.notes;
   }
 
 let pp_topo_failure ppf f =

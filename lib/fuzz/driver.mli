@@ -12,9 +12,6 @@ type failure = {
   shrunk_message : string;
 }
 
-val check_one : Scenario.t -> (Scenario.t * string) option
-(** [None] on pass, [Some (scenario, message)] on failure. *)
-
 val run :
   ?pool:Tpro_engine.Pool.t ->
   ?mutant:Scenario.mutant ->
@@ -36,6 +33,29 @@ val first_failure :
     with [trials_used] the failing trial's 1-based position.  The
     mutant-kill validation demands [Some] within its budget. *)
 
+val verdict_codec : Oracle.verdict Tpro_engine.Campaign.codec
+(** ["pass"] or ["fail <escaped message>"]: how a trial's verdict is
+    checkpointed, and the payload a serve job returns for it. *)
+
+val fuzz_task :
+  fuel:Tpro_engine.Supervisor.Fuel.t ->
+  seed:int ->
+  mutant:Scenario.mutant ->
+  int ->
+  Oracle.verdict
+(** One campaign trial: generate scenario [idx] of [seed], charge its
+    {!Scenario.size} to [fuel], run {!Oracle.check}. *)
+
+val topo_task :
+  fuel:Tpro_engine.Supervisor.Fuel.t ->
+  seed:int ->
+  mutant:Scenario.mutant ->
+  max_domains:int ->
+  max_cores:int ->
+  int ->
+  Oracle.verdict
+(** One topology trial, charged {!Topology.size}. *)
+
 type task_failure = {
   trial : int;
   error : Tpro_engine.Supervisor.task_error;
@@ -47,7 +67,7 @@ type task_failure = {
 type campaign = {
   failures : failure list;  (** shrunk oracle violations, trial order *)
   trials : int;
-  resumed_from : int;  (** trials skipped thanks to a checkpoint; 0 = fresh *)
+  resumed_from : int;  (** trials restored from a checkpoint; 0 = fresh *)
   task_failures : task_failure list;
   notes : string list;  (** resume/restart decisions, for the operator *)
 }
@@ -62,17 +82,16 @@ val campaign :
   trials:int ->
   unit ->
   campaign
-(** Supervised, crash-safe campaign.  With [?checkpoint:path], progress
-    is snapshotted every [checkpoint_every] (default 200) trials via
-    {!Tpro_engine.Checkpoint} (write-tmp + fsync + rename).  With
-    [~resume:true], the checkpoint at [path] is loaded first: the
-    campaign continues from its last completed chunk, and the final
-    {!campaign} value — violations, shrunk counterexamples, ordering —
-    is bit-identical to an uninterrupted run, because the checkpoint
-    records only trial indices and everything regenerates
-    deterministically from them.  A corrupt, truncated, stale-version
-    or mismatched (different seed/mutant) checkpoint is rejected with a
-    note and the campaign restarts cleanly from scratch. *)
+(** Supervised, crash-safe campaign over {!Tpro_engine.Campaign}: one
+    task per trial, [checkpoint_every] (default 200) trials per batch,
+    a snapshot of every settled verdict after each batch when
+    [?checkpoint] is given.  With [~resume:true] the snapshot is
+    restored first; a trial lost to a supervised failure was never
+    recorded, so it runs again.  The final {!campaign} value —
+    violations, shrunk counterexamples, lost trials — is bit-identical
+    to an uninterrupted run's.  A damaged checkpoint, or one written for
+    another seed or mutant, is rejected with a note and the campaign
+    restarts from scratch. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -88,8 +107,6 @@ val pp_failure : Format.formatter -> failure -> unit
     saved format-2 replay file is already a complete reproducer. *)
 
 type topo_failure = { topology : Topology.t; topo_message : string }
-
-val check_one_topo : Topology.t -> topo_failure option
 
 val topo_run :
   ?pool:Tpro_engine.Pool.t ->
@@ -133,12 +150,9 @@ val topo_campaign :
   trials:int ->
   unit ->
   topo_campaign
-(** As {!campaign}, for topologies: crash-safe checkpoints (kind
-    [topo], default every 50 trials — a topology trial is roughly an
-    order of magnitude heavier than a scenario trial) recording only
-    trial indices, so a resumed campaign's report is bit-identical to
-    an uninterrupted one.  A checkpoint written for different
-    seed/mutant/[--domains]/[--cores] parameters is rejected with a
-    note and the campaign restarts from scratch. *)
+(** As {!campaign}, for topologies: 50 trials per batch by default (a
+    topology trial is roughly an order of magnitude heavier than a
+    scenario trial), and a checkpoint must also match the
+    [max_domains]/[max_cores] bounds to be resumed. *)
 
 val pp_topo_failure : Format.formatter -> topo_failure -> unit

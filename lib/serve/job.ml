@@ -5,8 +5,8 @@
 
 module Fuel = Tpro_engine.Supervisor.Fuel
 module Scenario = Tpro_fuzz.Scenario
-module Topology = Tpro_fuzz.Topology
-module Oracle = Tpro_fuzz.Oracle
+module Driver = Tpro_fuzz.Driver
+module Prove = Time_protection.Prove
 
 type kind =
   | Ping
@@ -104,13 +104,11 @@ let kind_of_string line =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 
-let presets =
-  lazy (Time_protection.Presets.standard @ Time_protection.Presets.ablations)
-
-let verdict_payload = function
-  | Oracle.Pass -> "pass"
-  | Oracle.Fail m -> "fail " ^ Tpro_engine.Frame.escape m
-
+(* Each campaign kind runs the task function its CLI campaign runs, and
+   its payload is what that campaign checkpoints.  Only the fuel charge
+   differs on purpose: deadlines are counted in fuel, and a job prices
+   evidence at 100 units per secret and a table at 100, where the CLI
+   campaigns charge 1 per task. *)
 let execute ~fuel kind =
   match kind with
   | Ping ->
@@ -126,27 +124,18 @@ let execute ~fuel kind =
     done;
     Ok (Printf.sprintf "spun %d (%d)" n (!acc land 0xff))
   | Fuzz { seed; idx; mutant } ->
-    let s = Scenario.generate ~seed ~mutant idx in
-    Fuel.burn ~amount:(Scenario.size s) fuel;
-    Ok (verdict_payload (Oracle.check s))
+    Ok (Driver.verdict_codec.encode (Driver.fuzz_task ~fuel ~seed ~mutant idx))
   | Topo { seed; idx; max_domains; max_cores; mutant } ->
-    let t = Topology.generate ~seed ~mutant ~max_domains ~max_cores idx in
-    Fuel.burn ~amount:(Topology.size t) fuel;
-    Ok (verdict_payload (Oracle.check_topology t))
+    Ok
+      (Driver.verdict_codec.encode
+         (Driver.topo_task ~fuel ~seed ~mutant ~max_domains ~max_cores idx))
   | Prove { preset; seed; secrets } -> (
-    match List.assoc_opt preset (Lazy.force presets) with
+    match Time_protection.Presets.by_name preset with
     | None -> Error ("unknown preset: " ^ preset)
     | Some cfg ->
       let secrets = if secrets = [] then [ 0; 1 ] else secrets in
       Fuel.burn ~amount:(100 * List.length secrets) fuel;
-      let ev =
-        Tpro_secmodel.Theorem.collect ~seed
-          ~build:(fun ~secret ->
-            Time_protection.Ni_scenario.build_with ~with_btb:true ~cfg ~seed
-              ~secret)
-          ~secrets ()
-      in
-      Ok (Tpro_secmodel.Theorem.evidence_to_string ev))
+      Ok (Prove.evidence_codec.encode (Prove.evidence_task ~cfg ~seed ~secrets)))
   | Table { id; seeds } -> (
     match Time_protection.Experiments.by_id id with
     | None -> Error ("unknown experiment: " ^ id)

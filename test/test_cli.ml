@@ -72,38 +72,47 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Kill-free version of CI's kill-and-resume job: a run resumed from a
-   half-way checkpoint prints stdout byte-identical to an uninterrupted
-   run. *)
-let test_checkpoint_resume_identical () =
-  let ckpt = Filename.temp_file "tpro-cli-ckpt" ".txt" in
-  let ref_out = Filename.temp_file "tpro-cli-ref" ".txt" in
-  let res_out = Filename.temp_file "tpro-cli-res" ".txt" in
+let with_files n f =
+  let files = List.init n (fun _ -> Filename.temp_file "tpro-cli" ".txt") in
   Fun.protect
     ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) files)
+    (fun () -> f files)
+
+(* Kill-free version of CI's kill-and-resume job, for every campaign
+   front-end at -j 1 and -j 2: checkpointing changes nothing on stdout,
+   and a run resumed from a snapshot cut after its first task prints
+   stdout byte-identical to an uninterrupted run. *)
+let test_checkpoint_resume_identical () =
+  List.iter
+    (fun (args, every) ->
       List.iter
-        (fun f -> if Sys.file_exists f then Sys.remove f)
-        [ ckpt; ref_out; res_out ])
-    (fun () ->
-      Sys.remove ckpt;
-      Alcotest.(check int) "reference run exits 0" 0
-        (run ~stdout:ref_out
-           [ "fuzz"; "--trials"; "24"; "--seed"; "5"; "-j"; "2" ]);
-      Alcotest.(check int) "partial run exits 0" 0
-        (run
-           [
-             "fuzz"; "--trials"; "12"; "--seed"; "5"; "-j"; "2";
-             "--checkpoint"; ckpt; "--checkpoint-every"; "6";
-           ]);
-      Alcotest.(check bool) "checkpoint written" true (Sys.file_exists ckpt);
-      Alcotest.(check int) "resumed run exits 0" 0
-        (run ~stdout:res_out
-           [
-             "fuzz"; "--trials"; "24"; "--seed"; "5"; "-j"; "2"; "--resume";
-             ckpt; "--checkpoint-every"; "6";
-           ]);
-      Alcotest.(check string) "resumed stdout is byte-identical"
-        (read_file ref_out) (read_file res_out))
+        (fun j ->
+          with_files 3 (function
+            | [ ckpt; ref_out; res_out ] ->
+              Sys.remove ckpt;
+              let args = args @ [ "-j"; j ] in
+              let what = String.concat " " args in
+              let code = run ~stdout:ref_out args in
+              Alcotest.(check int) (what ^ ": checkpointed run exits alike") code
+                (run ~stdout:res_out (args @ [ "--checkpoint"; ckpt ] @ every));
+              Alcotest.(check string) (what ^ ": checkpointed stdout identical")
+                (read_file ref_out) (read_file res_out);
+              Test_supervisor.cut_after_first_task ckpt;
+              Alcotest.(check int) (what ^ ": resumed run exits alike") code
+                (run ~stdout:res_out (args @ [ "--resume"; ckpt ] @ every));
+              Alcotest.(check string) (what ^ ": resumed stdout is byte-identical")
+                (read_file ref_out) (read_file res_out)
+            | _ -> assert false))
+        [ "1"; "2" ])
+    [
+      ([ "fuzz"; "--trials"; "24"; "--seed"; "5" ], [ "--checkpoint-every"; "6" ]);
+      ( [ "topo"; "--trials"; "6"; "--seed"; "5"; "--domains"; "3"; "--cores"; "2" ],
+        [ "--checkpoint-every"; "2" ] );
+      ( [ "prove"; "--smoke"; "--seeds"; "0,1"; "--acknowledge"; "memory interconnect" ],
+        [] );
+      ([ "exp"; "e6"; "--seeds"; "0" ], []);
+    ]
 
 (* `tpro prove` exit semantics: 0 when every lemma is proved and scope
    is acknowledged, 1 when a lemma is refuted, 2 when an out-of-scope
@@ -171,6 +180,84 @@ let test_prove_checkpoint_resume () =
       Alcotest.(check string) "fully-resumed stdout is byte-identical"
         (read_file ref_out) (read_file res_out))
 
+(* `prove --all` proves every preset once, in the standard-then-ablation
+   order: `full` closes the standard four and heads the ablation grid,
+   and used to be proved (and reported) twice. *)
+let count needle hay =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i n =
+    if i + ln > lh then n
+    else if String.sub hay i ln = needle then go (i + ln) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+let test_prove_all_once () =
+  with_files 2 (function
+    | [ out; json ] ->
+      Alcotest.(check int) "prove --all exits 1 (ablations are refuted)" 1
+        (run ~stdout:out (smoke @ [ "--all"; "--json"; json ]));
+      let out = read_file out and json = read_file json in
+      let presets = Time_protection.Presets.known in
+      Alcotest.(check int) "one theorem per preset" (List.length presets)
+        (count "theorem for preset " out);
+      List.iter
+        (fun (name, _) ->
+          Alcotest.(check int) ("one theorem for " ^ name) 1
+            (count (Printf.sprintf "theorem for preset %s:" name) out))
+        presets;
+      Alcotest.(check int) "one JSON entry for full" 1
+        (count "\"preset\": \"full\"" json)
+    | _ -> assert false)
+
+(* With --checkpoint, `prove --all` snapshots as soon as its first tasks
+   settle, so a SIGKILL after the first snapshot leaves evidence to
+   resume from; the resumed stdout is byte-identical to an uninterrupted
+   run. *)
+let test_prove_snapshots_early () =
+  with_files 3 (function
+    | [ ckpt; ref_out; res_out ] ->
+      Sys.remove ckpt;
+      let args = smoke @ [ "--all" ] in
+      let tasks = List.length Time_protection.Presets.known in
+      Alcotest.(check int) "reference exits 1" 1 (run ~stdout:ref_out args);
+      let devnull = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process tpro
+          (Array.of_list (tpro :: (args @ [ "--checkpoint"; ckpt ])))
+          Unix.stdin devnull devnull
+      in
+      Unix.close devnull;
+      let rec wait_snapshot () =
+        if Sys.file_exists ckpt then true
+        else
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ ->
+            Unix.sleepf 0.002;
+            wait_snapshot ()
+          | _ -> false
+      in
+      let seen = wait_snapshot () in
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Alcotest.(check bool) "a snapshot landed while the run was live" true seen;
+      let settled =
+        match Tpro_engine.Checkpoint.load ~path:ckpt with
+        | Ok text -> count "\ntask " text
+        | Error e ->
+          Alcotest.failf "snapshot unreadable: %s"
+            (Tpro_engine.Checkpoint.error_to_string e)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "first snapshot holds %d of %d tasks" settled tasks)
+        true
+        (settled > 0 && settled < tasks);
+      Alcotest.(check int) "resumed exits 1" 1
+        (run ~stdout:res_out (args @ [ "--resume"; ckpt ]));
+      Alcotest.(check string) "resumed stdout is byte-identical"
+        (read_file ref_out) (read_file res_out)
+    | _ -> assert false)
+
 (* `tpro topo` mirrors `tpro fuzz`'s exit semantics over topology
    campaigns: 0 on a clean pairwise sweep, 1 on a violation (writing a
    format-2 counterexample that replays to the same verdict), 124 on
@@ -229,6 +316,10 @@ let suite =
       test_prove_json_artifact;
     Alcotest.test_case "prove checkpoint/resume stdout is byte-identical"
       `Quick test_prove_checkpoint_resume;
+    Alcotest.test_case "prove --all proves each preset once" `Quick
+      test_prove_all_once;
+    Alcotest.test_case "prove --checkpoint snapshots before the last task"
+      `Quick test_prove_snapshots_early;
     Alcotest.test_case "topo exit codes" `Quick test_topo_exit_codes;
     Alcotest.test_case "topo mutant run writes a replayable counterexample"
       `Quick test_topo_mutant_run_and_replay;

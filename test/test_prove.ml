@@ -238,24 +238,7 @@ let test_partial_resume () =
               ~secrets:smoke_secrets ~presets ())
       in
       let reference = run_campaign ~resume:false in
-      let payload =
-        match Tpro_engine.Checkpoint.load ~path:ckpt with
-        | Ok p -> p
-        | Error e ->
-          Alcotest.failf "finished checkpoint unreadable: %s"
-            (Tpro_engine.Checkpoint.error_to_string e)
-      in
-      (* keep the 4 header lines and the first task line only *)
-      let truncated =
-        String.concat "\n"
-          (List.filteri
-             (fun i _ -> i < 5)
-             (List.filter
-                (fun l -> String.trim l <> "")
-                (String.split_on_char '\n' payload)))
-        ^ "\n"
-      in
-      Tpro_engine.Checkpoint.save ~path:ckpt truncated;
+      Test_supervisor.cut_after_first_task ckpt;
       let resumed = run_campaign ~resume:true in
       Alcotest.(check int) "one task survived the crash" 1
         resumed.Prove.resumed_tasks;

@@ -341,89 +341,354 @@ let test_table_serialise_roundtrip () =
     [ nasty; Time_protection.Experiments.e10_colours () ]
 
 (* ------------------------------------------------------------------ *)
-(* Campaign checkpoint/resume equivalence                              *)
+(* The campaign loop, once per kind.  Fuzz trials, topologies, theorem
+   evidence and experiment tables all checkpoint and resume through
+   [Campaign.run], so every property below is checked on all four.     *)
 
-let run_campaign ?checkpoint ?resume ~trials () =
-  Supervisor.with_supervisor ~domains:2 (fun sup ->
-      Tpro_fuzz.Driver.campaign ~sup ~mutant:Tpro_fuzz.Scenario.Drop_padding
-        ?checkpoint ?resume ~checkpoint_every:2 ~seed:42 ~trials ())
+type run = {
+  report : string;  (** the deterministic report, rendered *)
+  resumed : int;
+  notes : string list;
+  lost : int list;  (** keys the supervisor settled as errors *)
+}
 
-let render_failures c =
-  String.concat "\n---\n"
-    (List.map
-       (Format.asprintf "%a" Tpro_fuzz.Driver.pp_failure)
-       c.Tpro_fuzz.Driver.failures)
+type kind = {
+  name : string;
+  tasks : int;
+  go :
+    ?fault:Supervisor.fault ->
+    ?checkpoint:string ->
+    ?resume:bool ->
+    ?other:bool ->
+    unit ->
+    run;
+      (** [~other:true] pins different campaign parameters *)
+  legacy : string;  (** a payload the per-kind formats used to write *)
+}
+
+let supervised ?(fault = Supervisor.No_fault) f =
+  Supervisor.with_supervisor ~domains:2 ~retries:0 ~fault f
+
+let render pp xs = String.concat "\n---\n" (List.map (Format.asprintf "%a" pp) xs)
+
+let fuzz_kind =
+  let open Tpro_fuzz.Driver in
+  {
+    name = "fuzz";
+    tasks = 2;
+    go =
+      (fun ?fault ?checkpoint ?resume ?(other = false) () ->
+        supervised ?fault (fun sup ->
+            let c =
+              campaign ~sup ~mutant:Tpro_fuzz.Scenario.Skip_flush ?checkpoint
+                ?resume ~checkpoint_every:1
+                ~seed:(if other then 6 else 0)
+                ~trials:2 ()
+            in
+            {
+              report = render pp_failure c.failures;
+              resumed = c.resumed_from;
+              notes = c.notes;
+              lost = List.map (fun f -> f.trial) c.task_failures;
+            }));
+    legacy = "kind fuzz\nseed 0\nmutant skip-flush\ndone 1\nfail 0\n";
+  }
+
+let topo_kind =
+  let open Tpro_fuzz.Driver in
+  {
+    name = "topo";
+    tasks = 4;
+    go =
+      (fun ?fault ?checkpoint ?resume ?(other = false) () ->
+        supervised ?fault (fun sup ->
+            let c =
+              topo_campaign ~sup ~mutant:Tpro_fuzz.Scenario.Drop_padding
+                ?checkpoint ?resume ~checkpoint_every:2 ~max_domains:3
+                ~max_cores:2
+                ~seed:(if other then 43 else 42)
+                ~trials:4 ()
+            in
+            {
+              report = render pp_topo_failure c.topo_failures;
+              resumed = c.topo_resumed_from;
+              notes = c.topo_notes;
+              lost = List.map (fun f -> f.trial) c.topo_task_failures;
+            }));
+    legacy = "kind topo\nseed 42\nmutant drop-padding\ndomains 3\ncores 2\ndone 2\n";
+  }
+
+let prove_kind =
+  let open Time_protection in
+  {
+    name = "prove";
+    tasks = 2;
+    go =
+      (fun ?fault ?checkpoint ?resume ?(other = false) () ->
+        supervised ?fault (fun sup ->
+            let o =
+              Prove.run ~sup ?checkpoint ?resume ~exhaustive:false
+                ~acknowledge:[ "memory interconnect" ] ~seeds:[ 0; 1 ]
+                ~secrets:(if other then [ 0; 2 ] else [ 0; 1 ])
+                ~presets:[ ("full", Presets.full) ]
+                ()
+            in
+            {
+              report = Prove.to_json o.Prove.reports ^ render Prove.pp_report o.Prove.reports;
+              resumed = o.Prove.resumed_tasks;
+              notes = o.Prove.notes;
+              lost = List.concat_map (fun r -> List.map fst r.Prove.lost) o.Prove.reports;
+            }));
+    legacy = "kind prove\nseeds 0,1\nsecrets 0,1\npresets full\n";
+  }
+
+let exp_kind =
+  let open Time_protection in
+  {
+    name = "exp";
+    tasks = 2;
+    go =
+      (fun ?fault ?checkpoint ?resume ?(other = false) () ->
+        supervised ?fault (fun sup ->
+            let sw =
+              Experiments.run_supervised ~seeds:[ 0 ] ~sup ?checkpoint ?resume
+                ~only:(if other then [ "e6"; "e20" ] else [ "e6"; "e17" ])
+                ()
+            in
+            let tables = sw.Experiments.tables in
+            {
+              report =
+                String.concat ""
+                  (List.filter_map
+                     (function _, Ok t -> Some (Table.to_string t) | _, Error _ -> None)
+                     tables);
+              resumed = sw.Experiments.sweep_resumed;
+              notes = sw.Experiments.sweep_notes;
+              lost =
+                List.concat
+                  (List.mapi (fun i (_, r) -> if Result.is_error r then [ i ] else []) tables);
+            }));
+    legacy = "kind exp\nseeds 0\n";
+  }
+
+let kinds = [ fuzz_kind; topo_kind; prove_kind; exp_kind ]
+
+let has_sub needle hay =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+let noted k run word =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: a note says %s" k.name word)
+    true
+    (List.exists (has_sub word) run.notes)
+
+(* A kill right after the first batch: the snapshot keeps its header and
+   first task line only. *)
+let cut_after_first_task path =
+  match Checkpoint.load ~path with
+  | Error e -> Alcotest.failf "snapshot unreadable: %s" (Checkpoint.error_to_string e)
+  | Ok text ->
+    let rec keep = function
+      | [] -> []
+      | l :: rest ->
+        if String.starts_with ~prefix:"task " l then [ l ] else l :: keep rest
+    in
+    Checkpoint.save ~path
+      (String.concat "\n" (keep (String.split_on_char '\n' text)) ^ "\n")
+
+let each_kind f =
+  List.iter
+    (fun k ->
+      with_tmp (fun path ->
+          Sys.remove path;
+          f k path))
+    kinds
 
 let test_campaign_resume_bit_identical () =
-  let uninterrupted = run_campaign ~trials:6 () in
-  Alcotest.(check bool) "the mutant produces violations" true
-    (uninterrupted.Tpro_fuzz.Driver.failures <> []);
-  with_tmp (fun path ->
-      Sys.remove path;
-      let partial = run_campaign ~checkpoint:path ~trials:3 () in
-      Alcotest.(check int) "partial run started fresh" 0
-        partial.Tpro_fuzz.Driver.resumed_from;
-      Alcotest.(check bool) "checkpoint written" true (Sys.file_exists path);
-      let resumed =
-        run_campaign ~checkpoint:path ~resume:true ~trials:6 ()
-      in
-      Alcotest.(check int) "resumed from the last completed chunk" 3
-        resumed.Tpro_fuzz.Driver.resumed_from;
-      Alcotest.(check string)
-        "resumed report byte-identical to uninterrupted"
-        (render_failures uninterrupted)
-        (render_failures resumed);
-      Alcotest.(check bool) "resume decision noted" true
-        (resumed.Tpro_fuzz.Driver.notes <> []))
+  each_kind (fun k path ->
+      let reference = k.go () in
+      Alcotest.(check bool) (k.name ^ ": there is something to report (violations, tables)")
+        true (reference.report <> "");
+      let full = k.go ~checkpoint:path () in
+      Alcotest.(check int) (k.name ^ ": the checkpointed run starts fresh") 0 full.resumed;
+      Alcotest.(check string) (k.name ^ ": checkpointing changes nothing")
+        reference.report full.report;
+      cut_after_first_task path;
+      let resumed = k.go ~checkpoint:path ~resume:true () in
+      Alcotest.(check int) (k.name ^ ": one task restored") 1 resumed.resumed;
+      noted k resumed "resumed";
+      Alcotest.(check string) (k.name ^ ": resumed report byte-identical")
+        reference.report resumed.report;
+      let again = k.go ~checkpoint:path ~resume:true () in
+      Alcotest.(check int) (k.name ^ ": a finished snapshot restores every task")
+        k.tasks again.resumed;
+      Alcotest.(check string) (k.name ^ ": and reports the same") reference.report
+        again.report)
 
+(* Damaged frames, frames holding another era's payload, and payloads
+   whose task lines do not parse are all rejected with a note, and the
+   restart reproduces the fresh run. *)
 let test_campaign_corrupt_checkpoint_restarts () =
-  let fresh = run_campaign ~trials:4 () in
-  with_tmp (fun path ->
-      write_file path "this is not a checkpoint\n";
-      let c = run_campaign ~checkpoint:path ~resume:true ~trials:4 () in
-      Alcotest.(check int) "restarted from scratch" 0
-        c.Tpro_fuzz.Driver.resumed_from;
-      Alcotest.(check string) "clean restart reproduces the fresh run"
-        (render_failures fresh) (render_failures c);
-      Alcotest.(check bool) "rejection noted" true
-        (List.exists
-           (fun n ->
-             let has_sub needle hay =
-               let lh = String.length hay and ln = String.length needle in
-               let rec go i =
-                 i + ln <= lh && (String.sub hay i ln = needle || go (i + 1))
-               in
-               go 0
-             in
-             has_sub "rejected" n)
-           c.Tpro_fuzz.Driver.notes))
+  each_kind (fun k path ->
+      let reference = k.go () in
+      List.iter
+        (fun (what, damage) ->
+          damage ();
+          let r = k.go ~checkpoint:path ~resume:true () in
+          Alcotest.(check int) (Printf.sprintf "%s, %s: fresh start" k.name what) 0
+            r.resumed;
+          noted k r "rejected";
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s: the restart reproduces the fresh run" k.name what)
+            reference.report r.report)
+        [
+          ("garbage", fun () -> write_file path "this is not a checkpoint\n");
+          ("legacy payload", fun () -> Checkpoint.save ~path k.legacy);
+          ( "bad task line",
+            fun () ->
+              ignore (k.go ~checkpoint:path ());
+              cut_after_first_task path;
+              match Checkpoint.load ~path with
+              | Ok text -> Checkpoint.save ~path (text ^ "task 0 \\q\n")
+              | Error _ -> Alcotest.fail "snapshot unreadable" );
+        ])
 
 let test_campaign_missing_checkpoint_starts_fresh () =
-  with_tmp (fun path ->
-      Sys.remove path;
-      let c = run_campaign ~checkpoint:path ~resume:true ~trials:2 () in
-      Alcotest.(check int) "no checkpoint means a fresh start" 0
-        c.Tpro_fuzz.Driver.resumed_from;
-      Alcotest.(check bool) "the fresh start is noted" true
-        (c.Tpro_fuzz.Driver.notes <> []))
+  each_kind (fun k path ->
+      let r = k.go ~checkpoint:path ~resume:true () in
+      Alcotest.(check int) (k.name ^ ": no checkpoint means a fresh start") 0
+        r.resumed;
+      noted k r "no checkpoint";
+      Alcotest.(check bool) (k.name ^ ": and the run writes one") true
+        (Sys.file_exists path))
 
-(* A checkpoint from a different campaign (other seed) must be
-   rejected, not resumed into wrong state. *)
+(* A checkpoint from a different campaign (other seed, secrets or
+   selection) must be rejected, not resumed into wrong state. *)
 let test_campaign_mismatched_checkpoint_rejected () =
-  with_tmp (fun path ->
-      Sys.remove path;
-      let _partial =
-        Supervisor.with_supervisor ~domains:1 (fun sup ->
-            Tpro_fuzz.Driver.campaign ~sup ~checkpoint:path ~seed:7 ~trials:2
-              ())
-      in
-      let c =
-        Supervisor.with_supervisor ~domains:1 (fun sup ->
-            Tpro_fuzz.Driver.campaign ~sup ~checkpoint:path ~resume:true
-              ~seed:8 ~trials:2 ())
-      in
-      Alcotest.(check int) "different seed restarts from scratch" 0
-        c.Tpro_fuzz.Driver.resumed_from)
+  each_kind (fun k path ->
+      let reference = k.go () in
+      ignore (k.go ~checkpoint:path ~other:true ());
+      let r = k.go ~checkpoint:path ~resume:true () in
+      Alcotest.(check int) (k.name ^ ": different parameters restart from scratch") 0
+        r.resumed;
+      noted k r "rejected";
+      Alcotest.(check string) (k.name ^ ": report unaffected") reference.report
+        r.report)
+
+(* A task lost to a supervised failure is never recorded, so a resumed
+   campaign runs it again: with the fault still present it is reported
+   lost again (the CLI exits 2 as the uninterrupted run would), and
+   once the fault is gone the report is the clean run's. *)
+let test_campaign_lost_task_rerun () =
+  each_kind (fun k path ->
+      let fault = Supervisor.Raise_always { key = 1 } in
+      let clean = k.go () in
+      let faulty = k.go ~fault () in
+      Alcotest.(check (list int)) (k.name ^ ": uninterrupted run loses task 1") [ 1 ]
+        faulty.lost;
+      ignore (k.go ~fault ~checkpoint:path ());
+      let resumed = k.go ~fault ~checkpoint:path ~resume:true () in
+      Alcotest.(check int) (k.name ^ ": every other task restored") (k.tasks - 1)
+        resumed.resumed;
+      Alcotest.(check (list int)) (k.name ^ ": resumed run loses task 1 again") [ 1 ]
+        resumed.lost;
+      Alcotest.(check string) (k.name ^ ": same report as uninterrupted")
+        faulty.report resumed.report;
+      let healed = k.go ~checkpoint:path ~resume:true () in
+      Alcotest.(check (list int)) (k.name ^ ": without the fault nothing is lost") []
+        healed.lost;
+      Alcotest.(check string) (k.name ^ ": and the report is the clean run's")
+        clean.report healed.report)
+
+(* The payload parser against byte-level damage inside a valid frame:
+   every resume either restores a well-formed result set or rejects the
+   snapshot with a note and starts fresh, and it never raises. *)
+let squares =
+  {
+    Campaign.kind = "squares";
+    params = [ ("base", "x y\\z") ];
+    keys = [ 0; 1; 2; 3; 4; 5 ];
+    execute = (fun ~fuel:_ k -> Printf.sprintf "sq\t%d \\ %d" k (k * k));
+    codec =
+      {
+        encode = Fun.id;
+        decode =
+          (fun s ->
+            if String.starts_with ~prefix:"sq\t" s then Ok s else Error "not a square");
+      };
+    batch = 2;
+    label = "test-squares";
+  }
+
+let squares_payload =
+  lazy
+    (with_tmp (fun path ->
+         Supervisor.with_supervisor ~domains:1 (fun sup ->
+             ignore (Campaign.run ~sup ~checkpoint:path squares));
+         match Checkpoint.load ~path with
+         | Ok text -> text
+         | Error _ -> failwith "squares snapshot unreadable"))
+
+let mutate text (op, a, b) =
+  let n = String.length text in
+  let lines = String.split_on_char '\n' text in
+  let nl = List.length lines in
+  match op mod 5 with
+  | 0 -> String.sub text 0 (a mod (n + 1))
+  | 1 ->
+    let i = a mod n in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor (1 + (b mod 255))) else c)
+      text
+  | 2 ->
+    (* splice: move line a to position b *)
+    let l = List.nth lines (a mod nl) in
+    let rest = List.filteri (fun j _ -> j <> a mod nl) lines in
+    String.concat "\n"
+      (List.concat (List.mapi (fun j x -> if j = b mod nl then [ l; x ] else [ x ]) rest))
+  | 3 ->
+    let i = a mod nl in
+    String.concat "\n" (List.concat (List.mapi (fun j x -> if j = i then [ x; x ] else [ x ]) lines))
+  | _ ->
+    (* re-key one task line: out of range, negative or non-canonical *)
+    let key = [| "6"; "-1"; "99999999999"; "01"; "0x2"; "2"; "" |].(b mod 7) in
+    String.concat "\n"
+      (List.mapi
+         (fun j l ->
+           if j = a mod nl && String.starts_with ~prefix:"task " l then
+             match String.split_on_char ' ' l with
+             | _ :: _ :: blob -> String.concat " " ("task" :: key :: blob)
+             | _ -> l
+           else l)
+         lines)
+
+let prop_campaign_payload_mutations =
+  QCheck.Test.make ~name:"campaign: mutated payloads restore or reject" ~count:300
+    QCheck.(triple small_nat small_nat small_nat)
+    (fun m ->
+      with_tmp (fun path ->
+          Checkpoint.save ~path (mutate (Lazy.force squares_payload) m);
+          let o =
+            Supervisor.with_supervisor ~domains:1 (fun sup ->
+                Campaign.run ~sup ~checkpoint:path ~resume:true squares)
+          in
+          let well_formed =
+            List.map fst o.Campaign.results = squares.Campaign.keys
+            && List.for_all
+                 (function
+                   | _, Ok r -> Result.is_ok (squares.Campaign.codec.decode r)
+                   | _, Error _ -> false)
+                 o.Campaign.results
+          in
+          let decided =
+            match o.Campaign.notes with
+            | [ n ] when has_sub "rejected" n -> o.Campaign.resumed = 0
+            | [ n ] -> String.starts_with ~prefix:"resumed" n
+            | _ -> false
+          in
+          well_formed && decided))
 
 (* ------------------------------------------------------------------ *)
 (* Supervised experiment sweep resume                                  *)
@@ -502,6 +767,9 @@ let suite =
       test_campaign_missing_checkpoint_starts_fresh;
     Alcotest.test_case "campaign: mismatched checkpoint rejected" `Quick
       test_campaign_mismatched_checkpoint_rejected;
+    Alcotest.test_case "campaign: lost task is re-run on resume" `Quick
+      test_campaign_lost_task_rerun;
+    QCheck_alcotest.to_alcotest prop_campaign_payload_mutations;
     Alcotest.test_case "sweep: resume reloads tables byte-identically" `Quick
       test_sweep_resume_reuses_tables;
   ]
