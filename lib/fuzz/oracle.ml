@@ -67,23 +67,8 @@ let blame_sweep (sw : Unwinding.sweep) =
     Some { first with Unwinding.component }
 
 let lo_llc_digest m (lo : Domain.t) =
-  let llc = Machine.llc m in
-  let g = Cache.geom llc in
-  let pb = Machine.page_bits m in
-  (* Hoist the colour-membership test out of the per-set loop: one bool
-     per colour instead of a List.mem per set.  Fold order over the
-     selected sets is unchanged, so the digest is bit-identical. *)
-  let n_colours = Machine.n_colours m in
-  let owned = Array.make (max n_colours 1) false in
-  List.iter
-    (fun c -> if c < Array.length owned then owned.(c) <- true)
-    lo.Domain.colours;
-  let d = ref 1L in
-  for set = 0 to g.Cache.sets - 1 do
-    if owned.(Cache.colour_of_set g ~page_bits:pb set) then
-      d := Rng.chain !d (Cache.digest_set llc set)
-  done;
-  !d
+  Cache.digest_colours (Machine.llc m) ~page_bits:(Machine.page_bits m)
+    ~colours:lo.Domain.colours ~seed:1L
 
 let check_nonint s =
   let build ~secret = Scenario.build_ni s ~secret in

@@ -35,8 +35,7 @@ type t = {
   tags : int array;          (* sets * ways *)
   meta : Bytes.t;            (* sets * ways: valid / dirty bits *)
   owner : int array;         (* sets * ways *)
-  stamp : int array;         (* sets * ways: last touch (LRU) *)
-  fill_stamp : int array;    (* sets * ways: fill time (FIFO) *)
+  stamp : int array;         (* sets * ways: last touch (LRU), fill time (FIFO) *)
   set_ticks : int array;     (* per-set access counts (replacement state) *)
   mutable tick : int;
   repl : replacement;
@@ -138,7 +137,6 @@ let create ?(name = "cache") ?(replacement = Lru) geometry =
     meta = Bytes.make n '\000';
     owner = Array.make n shared_owner;
     stamp = Array.make n 0;
-    fill_stamp = Array.make n 0;
     set_ticks = Array.make sets 0;
     tick = 0;
     repl = replacement;
@@ -219,17 +217,10 @@ let victim_way t ~set ~base =
   | w when w >= 0 -> w
   | _ -> (
     match t.repl with
-    | Lru ->
+    | Lru | Fifo ->
       let best = ref 0 in
       for w = 1 to ways - 1 do
         if t.stamp.(base + w) < t.stamp.(base + !best) then best := w
-      done;
-      !best
-    | Fifo ->
-      let best = ref 0 in
-      for w = 1 to ways - 1 do
-        if t.fill_stamp.(base + w) < t.fill_stamp.(base + !best) then
-          best := w
       done;
       !best
     | Pseudo_random seed ->
@@ -248,7 +239,9 @@ let access t ~owner ~write paddr =
   match find_way t ~base tag with
   | w when w >= 0 ->
     let i = base + w in
-    t.stamp.(i) <- t.tick;
+    (match t.repl with
+    | Lru -> t.stamp.(i) <- t.tick
+    | Fifo | Pseudo_random _ -> ());
     (if write then
        let m = Char.code (Bytes.unsafe_get t.meta i) in
        if m land meta_dirty = 0 then begin
@@ -282,7 +275,6 @@ let access t ~owner ~write paddr =
     if write then t.n_dirty <- t.n_dirty + 1;
     t.owner.(i) <- owner;
     t.stamp.(i) <- t.tick;
-    t.fill_stamp.(i) <- t.tick;
     mark_set_changed t set;
     Miss evicted
 
@@ -309,7 +301,6 @@ let flush t =
     Bytes.fill t.meta 0 n '\000';
     Array.fill t.owner 0 n shared_owner;
     Array.fill t.stamp 0 n 0;
-    Array.fill t.fill_stamp 0 n 0;
     Array.fill t.set_ticks 0 t.geometry.sets 0;
     t.tick <- 0;
     t.n_valid <- 0;
@@ -334,7 +325,6 @@ let invalidate_line t paddr =
     t.tags.(i) <- 0;
     t.owner.(i) <- shared_owner;
     t.stamp.(i) <- 0;
-    t.fill_stamp.(i) <- 0;
     t.n_valid <- t.n_valid - 1;
     if was_dirty then t.n_dirty <- t.n_dirty - 1;
     mark_set_changed t set;
@@ -386,6 +376,26 @@ let digest t =
     t.first_stale <- sets
   end;
   Bigarray.Array1.unsafe_get t.prefix (sets - 1)
+
+(* Colour [c] owns the run of [sets / n_colours] consecutive sets from
+   [c * run] (one set each, and none for [c >= sets], when there are more
+   colours than sets; see [colour_of_set]), so walking the owned colours
+   in ascending order visits exactly the owned sets in ascending set
+   order: O(n_colours + owned sets) instead of O(sets). *)
+let digest_colours t ~page_bits ~colours ~seed =
+  let g = t.geometry in
+  let n = n_colours g ~page_bits in
+  let owned = Array.make n false in
+  List.iter (fun c -> if c < n then owned.(c) <- true) colours;
+  let run = max 1 (g.sets / n) in
+  let acc = ref seed in
+  for c = 0 to min n g.sets - 1 do
+    if owned.(c) then
+      for set = c * run to ((c + 1) * run) - 1 do
+        acc := Rng.chain !acc (digest_set t set)
+      done
+  done;
+  !acc
 
 (* From-scratch re-folds, bypassing every cache: the ground truth the
    debug mode (Resource.set_digest_debug) asserts the memoised digests

@@ -124,6 +124,14 @@ val digest : t -> int64
     never the historical O(sets x ways) fold.  The value is bit-identical
     to {!digest_fold} by construction (both go through [Rng.chain]). *)
 
+val digest_colours :
+  t -> page_bits:int -> colours:int list -> seed:int64 -> int64
+(** [digest_colours t ~page_bits ~colours ~seed] chains, from [seed], the
+    memoised {!digest_set} of every set whose colour is in [colours], in
+    ascending set order — the Lo-coloured slice of a partitioned cache.
+    Colours at or above {!n_colours} own no set and duplicates count
+    once.  Only the owned colours' runs of sets are visited. *)
+
 val digest_set_fold : t -> int -> int64
 (** [digest_set] recomputed from scratch, bypassing the memo — ground
     truth for the debug re-fold assertion (see

@@ -156,26 +156,13 @@ let absent ~name:rname ~placeholder_digest : t =
 (* ------------------------------------------------------------------ *)
 (* Adapters                                                            *)
 
-(* The Lo-coloured slice of a partitioned cache: chain the digest of
-   every set whose colour Lo owns, in set order.  This runs once per Lo
-   instruction boundary in the unwinding check — the colour-membership
-   test is hoisted into a bool table and [Cache.digest_set] is served
-   from the cache's per-set memo.  The 0x22L seed and the set-order fold
-   reproduce the pre-registry "llc-partition" view component
+(* The Lo-coloured slice of a partitioned cache, read once per Lo
+   instruction boundary in the unwinding check.  The 0x22L seed
+   reproduces the pre-registry "llc-partition" view component
    bit-identically. *)
 let cache_lo_slice cache (v : view) =
-  let g = Cache.geom cache in
-  let n_colours = Cache.n_colours g ~page_bits:v.page_bits in
-  let owned = Array.make (max n_colours 1) false in
-  List.iter
-    (fun c -> if c < Array.length owned then owned.(c) <- true)
-    v.lo_colours;
-  let d = ref 0x22L in
-  for set = 0 to g.Cache.sets - 1 do
-    if owned.(Cache.colour_of_set g ~page_bits:v.page_bits set) then
-      d := Rng.chain !d (Cache.digest_set cache set)
-  done;
-  !d
+  Cache.digest_colours cache ~page_bits:v.page_bits ~colours:v.lo_colours
+    ~seed:0x22L
 
 let of_cache ~name:rname ?(classification = Flushable) ?defence ?colours cache
     : t =

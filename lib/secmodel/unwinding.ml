@@ -30,27 +30,9 @@ type obs_memo = {
   mutable m_counts : int array;
   mutable m_accs : int64 array;
       (** [m_accs.(i)]: the fold accumulator after thread [i]'s codes *)
-  m_res : (string, int64 * int64) Hashtbl.t;
-      (** resource name -> (digest when projected, projection).  The
-          registry digest is incremental (every state mutation updates
-          it), so an unchanged digest means an unchanged projection; the
-          expensive Lo-slice walks only run when the resource actually
-          changed between boundaries. *)
 }
 
-let obs_memo () =
-  { m_threads = [||]; m_counts = [||]; m_accs = [||];
-    m_res = Hashtbl.create 16 }
-
-let project_memo memo r view =
-  let key = Resource.digest r in
-  let name = Resource.name r in
-  match Hashtbl.find_opt memo.m_res name with
-  | Some (k, v) when k = key -> v
-  | _ ->
-    let v = Resource.lo_project r view in
-    Hashtbl.replace memo.m_res name (key, v);
-    v
+let obs_memo () = { m_threads = [||]; m_counts = [||]; m_accs = [||] }
 
 let rec take n = function
   | x :: r when n > 0 -> x :: take (n - 1) r
@@ -143,23 +125,20 @@ let lo_view ?memo k ~lo_dom =
      what the composed theorem's acknowledgement machinery makes loud.
      Comparing per-resource projections is component-wise at least as
      strict as the old chained "core-private"/"llc-partition" digests,
-     and a divergence now names the lemma that broke. *)
+     and a divergence now names the lemma that broke.  No memo is needed
+     here: a flushable resource's projection is its own memoised digest,
+     and the LLC slice walks only Lo's colours over per-set memos. *)
   let view =
     {
       Resource.lo_colours = dom.Domain.colours;
       page_bits = Kernel.page_bits k;
     }
   in
-  let project =
-    match memo with
-    | Some mm -> fun r -> project_memo mm r view
-    | None -> fun r -> Resource.lo_project r view
-  in
   let resources =
     List.filter_map
       (fun r ->
         match Resource.lemma_component r with
-        | Some cid -> Some (cid, project r)
+        | Some cid -> Some (cid, Resource.lo_project r view)
         | None -> None)
       (Machine.core_resources m ~core @ Machine.shared_resources m)
   in

@@ -240,6 +240,84 @@ let prop_eviction_writeback_colours =
       && Cache.digest llc = Cache.digest_fold llc
       && Machine.digest_shared m = Machine.digest_shared_fold m)
 
+(* [Cache.digest_colours] against the walk it replaced: every set in
+   ascending order, chained iff its colour is owned.  Three geometries
+   cover the colour arithmetic's regimes: the default LLC (16 colours of
+   64 sets), a single colour spanning every set (colouring off), and more
+   colours than sets (one set per colour, the rest own nothing). *)
+let all_sets_walk cache ~page_bits ~colours ~seed =
+  let g = Cache.geom cache in
+  let n_colours = Cache.n_colours g ~page_bits in
+  let owned = Array.make (max n_colours 1) false in
+  List.iter
+    (fun c -> if c < Array.length owned then owned.(c) <- true)
+    colours;
+  let d = ref seed in
+  for set = 0 to g.Cache.sets - 1 do
+    if owned.(Cache.colour_of_set g ~page_bits set) then
+      d := Rng.chain !d (Cache.digest_set cache set)
+  done;
+  !d
+
+let colour_geometries =
+  (* geometry, page bits, the colour count that puts it in its regime *)
+  [
+    (Machine.default_config.Machine.llc_geom, 12, 16);
+    (geometry ~sets:64 ~ways:2 ~line_bits:6 (), 12, 1);
+    (geometry ~sets:16 ~ways:2 ~line_bits:8 (), 6, 64);
+  ]
+
+(* Every shape of colour list a caller may pass, derived from one random
+   draw: empty, as drawn (unsorted, duplicated, partly >= n_colours),
+   sorted without duplicates, complete, and complete reversed with every
+   colour twice plus out-of-range extras. *)
+let colour_shapes ~n drawn =
+  let complete = List.init n Fun.id in
+  [
+    [];
+    drawn;
+    List.sort_uniq compare (List.filter (fun c -> c < n) drawn);
+    complete;
+    List.rev complete @ complete @ [ n; n + 7 ];
+  ]
+
+let prop_digest_colours_differential =
+  QCheck.Test.make ~name:"digest_colours == all-sets walk" ~count:40
+    QCheck.(
+      triple
+        (small_list (pair (int_bound 0xfffff) bool))
+        (small_list (int_bound 40))
+        (int_bound 10_000))
+    (fun (trace, drawn, seed) ->
+      List.for_all
+        (fun (g, page_bits, colours) ->
+          let c = Cache.create g in
+          let n = Cache.n_colours g ~page_bits in
+          let rng = Rng.create seed in
+          let agree () =
+            List.for_all
+              (fun colours ->
+                List.for_all
+                  (fun seed ->
+                    Cache.digest_colours c ~page_bits ~colours ~seed
+                    = all_sets_walk c ~page_bits ~colours ~seed)
+                  [ 0x22L; 1L ])
+              (colour_shapes ~n drawn)
+          in
+          n = colours
+          && agree ()
+          && List.for_all
+               (fun (addr, write) ->
+                 (* mostly accesses; now and then drop a line or flush,
+                    so the per-set memo is both staled and reset *)
+                 (match Rng.int rng 16 with
+                 | 0 -> ignore (Cache.invalidate_line c addr)
+                 | 1 -> ignore (Cache.flush c)
+                 | _ -> ignore (Cache.access c ~owner:0 ~write addr));
+                 agree ())
+               trace)
+        colour_geometries)
+
 let suite =
   List.map
     (fun (name, cfg) ->
@@ -262,4 +340,5 @@ let suite =
         test_debug_mode_detects;
       QCheck_alcotest.to_alcotest prop_random_traces;
       QCheck_alcotest.to_alcotest prop_eviction_writeback_colours;
+      QCheck_alcotest.to_alcotest prop_digest_colours_differential;
     ]

@@ -119,7 +119,7 @@ let test_10k_trials_no_violation () =
 (* Acceptance criterion: each injected defence bypass is killed within
    1,000 trials, and the shrunk counterexample still fails without
    having grown. *)
-let check_mutant_killed mutant =
+let check_mutant_killed ?messages mutant =
   match Driver.first_failure ~mutant ~seed:42 ~budget:1_000 () with
   | None ->
     Alcotest.failf "%s mutant survived 1000 trials"
@@ -130,6 +130,12 @@ let check_mutant_killed mutant =
          (Scenario.mutant_to_string mutant)
          used)
       true (used <= 1_000);
+    Option.iter
+      (fun (message, shrunk_message) ->
+        Alcotest.(check string) "violation message" message f.Driver.message;
+        Alcotest.(check string) "shrunk violation message" shrunk_message
+          f.Driver.shrunk_message)
+      messages;
     Alcotest.(check bool) "shrunk scenario did not grow" true
       (Scenario.size f.Driver.shrunk <= Scenario.size f.Driver.scenario);
     (match Oracle.check f.Driver.shrunk with
@@ -150,7 +156,17 @@ let check_mutant_killed mutant =
           Alcotest.failf "replay load failed: %s"
             (Scenario.load_error_to_string e))
 
-let test_kill_skip_flush () = check_mutant_killed Scenario.Skip_flush
+(* The skip-flush kill's blame is pinned byte for byte — resource, secret
+   pair and Lo step — so a change to Lo's view that moves any of them
+   fails here, not only one that changes the lemma. *)
+let test_kill_skip_flush () =
+  check_mutant_killed Scenario.Skip_flush
+    ~messages:
+      ( "lemma flush:l1d0 refuted (secrets 2 vs 6): Lo's view component \
+         flush:l1d0 differs at Lo step 47",
+        "lemma flush:l1d0 refuted (secrets 0 vs 1): Lo's view component \
+         flush:l1d0 differs at Lo step 28" )
+
 let test_kill_drop_padding () = check_mutant_killed Scenario.Drop_padding
 let test_kill_miscolour () = check_mutant_killed Scenario.Miscolour
 
@@ -330,12 +346,15 @@ let test_topologies_no_violation () =
 
 (* Each mutant must be killed on some domain pair within the budget,
    with the matching lemma named in the pair-tagged message. *)
-let check_topo_mutant_killed mutant ~expect =
+let check_topo_mutant_killed ?message mutant ~expect =
   match Driver.topo_first_failure ~mutant ~seed:42 ~budget:1_000 () with
   | None ->
     Alcotest.failf "%s mutant survived 1000 topologies"
       (Scenario.mutant_to_string mutant)
   | Some (used, f) ->
+    Option.iter
+      (fun m -> Alcotest.(check string) "violation message" m f.Driver.topo_message)
+      message;
     Alcotest.(check bool)
       (Printf.sprintf "%s killed within budget (used %d)"
          (Scenario.mutant_to_string mutant)
@@ -376,8 +395,11 @@ let test_topo_kill_skip_flush () =
       "flush:" ^ Topology.skip_target t)
 
 let test_topo_kill_drop_padding () =
-  check_topo_mutant_killed Scenario.Drop_padding ~expect:(fun _ ->
-      "kernel:padded-switch")
+  check_topo_mutant_killed Scenario.Drop_padding
+    ~message:
+      "pair (hi=0, lo=1): lemma kernel:padded-switch refuted (secrets 5 vs \
+       7): view component kernel:clock differs at step 1"
+    ~expect:(fun _ -> "kernel:padded-switch")
 
 let test_topo_kill_miscolour () =
   match Driver.topo_first_failure ~mutant:Scenario.Miscolour ~seed:42
@@ -385,10 +407,10 @@ let test_topo_kill_miscolour () =
   with
   | None -> Alcotest.fail "miscolour mutant survived 1000 topologies"
   | Some (_, f) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "miscolour kill names a pair: %s" f.Driver.topo_message)
-      true
-      (contains "pair (hi=" f.Driver.topo_message)
+    Alcotest.(check string) "violation message"
+      "pair (hi=0, lo=1): lemma partition:llc refuted (secrets 5 vs 7): \
+       view component partition:llc differs at step 1"
+      f.Driver.topo_message
 
 (* Satellite: a hand-built 4-domain/2-core topology in which the planted
    miscolouring (domain 0's page remapped into a frame of domain 2's

@@ -119,6 +119,31 @@ let test_unwinding_names_component () =
       "partition:llc" d.Unwinding.component;
     Alcotest.(check bool) "at a definite Lo step" true (d.Unwinding.lo_step >= 1)
 
+(* Every component that diverges without colouring, each at the first
+   Lo step it did: a change to Lo's view that moves a component or a
+   step fails here. *)
+let test_sweep_diverged_without_colouring () =
+  let sw =
+    Unwinding.sweep_pair ~build:(build Presets.without_colouring) ~secret1:0
+      ~secret2:1 ()
+  in
+  Alcotest.(check (list (pair string int)))
+    "diverged"
+    [
+      ("partition:llc", 1);
+      ("lo-observations", 2);
+      ("kernel:clock", 2);
+      ("flush:l1i0", 594);
+      ("flush:l1d0", 594);
+      ("flush:TLB", 594);
+      ("flush:branch predictor", 594);
+      ("flush:prefetcher", 594);
+    ]
+    sw.Unwinding.diverged;
+  Alcotest.(check (option int)) "no progress divergence" None
+    sw.Unwinding.progress;
+  Alcotest.(check int) "boundaries" 3712 sw.Unwinding.boundaries
+
 let test_lo_view_shape () =
   let run = Nonint.execute (build Presets.full) 0 in
   let lo_dom = (List.hd run.Nonint.observers).Thread.dom in
@@ -136,6 +161,50 @@ let test_lo_view_shape () =
       "kernel:clock";
     ]
     (List.map fst view)
+
+(* The observation-hash memo is the one memo left in [lo_view]: stepping
+   a run boundary by boundary, as the sweep does, the memoised view must
+   equal a from-scratch one at every Lo boundary. *)
+let check_memo_matches_fresh name (run : Nonint.run) ~lo_dom =
+  List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
+  let lo_count () =
+    List.fold_left
+      (fun acc th ->
+        if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
+      0 run.Nonint.observers
+  in
+  let k = run.Nonint.kernel in
+  let memo = Unwinding.obs_memo () in
+  let rec go boundary =
+    if lo_count () >= boundary then begin
+      if Unwinding.lo_view ~memo k ~lo_dom <> Unwinding.lo_view k ~lo_dom then
+        Alcotest.failf "%s: memoised view differs at Lo boundary %d" name
+          boundary;
+      go (boundary + 1)
+    end
+    else if Kernel.step k then go boundary
+    else boundary - 1
+  in
+  let boundaries = go 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d boundaries compared" name boundaries)
+    true (boundaries > 10)
+
+let test_memo_view_two_domain () =
+  let run = build Presets.full ~secret:0 in
+  check_memo_matches_fresh "full preset" run
+    ~lo_dom:(List.hd run.Nonint.observers).Thread.dom
+
+let test_memo_view_topology () =
+  let t =
+    List.find
+      (fun t -> t.Tpro_fuzz.Topology.n_cores > 1)
+      (List.init 50 (Tpro_fuzz.Topology.generate ~seed:42))
+  in
+  check_memo_matches_fresh
+    (Printf.sprintf "topology %d (%d cores)" t.idx t.n_cores)
+    (Tpro_fuzz.Topology.build t ~vary:t.deep_hi ~secret:t.secret_b)
+    ~lo_dom:t.deep_lo
 
 let test_execute_traces_observers () =
   let run = Nonint.execute (build Presets.full) 0 in
@@ -168,5 +237,11 @@ let suite =
       test_unwinding_holds_full;
     Alcotest.test_case "unwinding names the broken component" `Quick
       test_unwinding_names_component;
+    Alcotest.test_case "sweep diverged list without colouring" `Quick
+      test_sweep_diverged_without_colouring;
     Alcotest.test_case "lo_view shape" `Quick test_lo_view_shape;
+    Alcotest.test_case "memoised lo_view == fresh (two domains)" `Quick
+      test_memo_view_two_domain;
+    Alcotest.test_case "memoised lo_view == fresh (multi-core topology)"
+      `Quick test_memo_view_topology;
   ]
