@@ -3,15 +3,15 @@
    Part 1 regenerates every experiment table of DESIGN.md (the rows the
    paper reproduction reports) and prints them.
 
-   Part 2 (with part 8 folded in) benchmarks the work-stealing trial
+   Part 2 (with part 8 folded in) benchmarks the parallel trial
    engine: the full experiment suite sequentially vs. fanned out over
    the *calibrated* pool (the configuration a flagless user gets — 1
    domain on a 1-core container, so the headline speedup must sit at
    ~1.0 there), per-table sequential and parallel times, a forced
-   -j 1/2/4 scaling curve with steal counts, and the calibration
+   -j 1/2/4 scaling curve with task counts, and the calibration
    decision itself (cores detected, domains chosen, minor-heap
    sizing).  Every run is checked bit-identical to sequential and the
-   whole thing is written as BENCH_parallel.json schema v2 so perf
+   whole thing is written as BENCH_parallel.json schema v3 so perf
    regressions are attributable across PRs.
    [--require-speedup-1core T] makes the run fail when calibration
    reports 1 core and the calibrated speedup falls below T (the CI
@@ -159,7 +159,6 @@ type par_bench = {
   steals : int;
   executed : int;
   injected : int;
-  chunk_estimates : (string * float * int) list;
 }
 
 (* The headline numbers use the *calibrated* pool — the configuration a
@@ -167,7 +166,9 @@ type par_bench = {
    domain, the pool runs sequentially, and the speedup must sit at
    ~1.0 (PR 1's committed 0.17 was a 4-domain pool fighting one core).
    The forced -j 1/2/4 curve shows what oversubscription costs and
-   what real cores buy, with steal counts for attribution. *)
+   what real cores buy, with task counts for attribution (the steal
+   counts stay in the schema and read 0: the pool claims items, it
+   never steals). *)
 let bench_parallel () =
   let seeds = !seeds in
   let host = Tpro_engine.Calibrate.host () in
@@ -190,9 +191,6 @@ let bench_parallel () =
       Time_protection.Experiments.ids
   in
   let stats = Tpro_engine.Pool.stats pool in
-  let chunk_estimates =
-    Tpro_engine.Cost_model.snapshot (Tpro_engine.Pool.cost_model pool)
-  in
   Tpro_engine.Pool.shutdown pool;
   let curve =
     List.map
@@ -232,7 +230,6 @@ let bench_parallel () =
       steals = stats.Tpro_engine.Pool.steals;
       executed = stats.Tpro_engine.Pool.tasks_executed;
       injected = stats.Tpro_engine.Pool.tasks_injected;
-      chunk_estimates;
     },
     tables_par )
 
@@ -278,7 +275,7 @@ let write_json path b micro =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"tpro-bench-parallel/2\",\n";
+  p "  \"schema\": \"tpro-bench-parallel/3\",\n";
   p "  \"calibration\": {\n";
   p "    \"cores_detected\": %d,\n" b.cores;
   p "    \"domains_chosen\": %d,\n" b.domains;
@@ -294,16 +291,7 @@ let write_json path b micro =
   p "  \"scheduler\": {\n";
   p "    \"steals\": %d,\n" b.steals;
   p "    \"tasks_executed\": %d,\n" b.executed;
-  p "    \"tasks_injected\": %d,\n" b.injected;
-  p "    \"chunk_estimates_ns_per_item\": {\n";
-  let n = List.length b.chunk_estimates in
-  List.iteri
-    (fun i (label, ns, samples) ->
-      p "      \"%s\": { \"ns\": %.2f, \"samples\": %d }%s\n"
-        (json_escape label) ns samples
-        (if i = n - 1 then "" else ","))
-    b.chunk_estimates;
-  p "    }\n";
+  p "    \"tasks_injected\": %d\n" b.injected;
   p "  },\n";
   p "  \"scaling_curve\": {\n";
   let n = List.length b.curve in

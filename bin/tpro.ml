@@ -216,11 +216,19 @@ let run_prove preset all seeds secrets smoke jobs acknowledge json checkpoint
         run ~sup ?checkpoint ~checkpoint_every ~resume:(resume <> None)
           ~acknowledge ~seeds ~secrets ~presets ()
       in
-      finish_campaign sup ~notes:o.notes
+      let unproved_notes =
+        List.map
+          (fun (name, _) ->
+            Printf.sprintf "preset %s: every evidence task was lost; no theorem composed"
+              name)
+          o.unproved
+      in
+      finish_campaign sup ~notes:(o.notes @ unproved_notes)
         ~lost:
-          (List.concat_map
-             (fun r -> List.map (fun (i, m) -> (Printf.sprintf "task %d" i, m)) r.lost)
-             o.reports)
+          (List.concat_map (fun r -> r.lost) o.reports
+          @ List.concat_map snd o.unproved
+          |> List.sort compare
+          |> List.map (fun (i, m) -> (Printf.sprintf "task %d" i, m)))
         (fun () ->
           List.iter (fun r -> Format.printf "%a@." pp_report r) o.reports;
           Option.iter (fun path -> write_file path (to_json o.reports)) json;

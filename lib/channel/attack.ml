@@ -68,7 +68,7 @@ let measure_par ?(seeds = default_seeds) ?pool ?domains scenario ~cfg () =
   let grid = trial_grid scenario ~seeds in
   let run p =
     let outputs =
-      Tpro_engine.Pool.map_auto ~label:"attack-trial" p
+      Tpro_engine.Pool.map p
         (fun (secret, seed) -> run_trial scenario ~cfg ~seed ~secret)
         grid
     in

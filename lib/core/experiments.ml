@@ -893,7 +893,6 @@ let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint ?resume ?only () =
             thunks.(i) ());
         codec = { Campaign.encode = Table.serialise; decode = Table.deserialise };
         batch = 1;
-        label = "experiment-table";
       }
   in
   {

@@ -24,6 +24,7 @@ type report = {
 
 type outcome = {
   reports : report list;
+  unproved : (string * (int * string) list) list;
   notes : string list;
   resumed_tasks : int;
 }
@@ -109,10 +110,11 @@ let run ~sup ?checkpoint ?(checkpoint_every = 1) ?resume ?(acknowledge = [])
               ~secrets);
         codec = evidence_codec;
         batch = checkpoint_every;
-        label = "prove-evidence";
       }
   in
-  let reports =
+  (* A theorem is composed only from evidence: with none, every lemma
+     would be vacuous and [Theorem.compose] would read HOLDS. *)
+  let reports, unproved =
     List.mapi
       (fun p (name, cfg) ->
         let mine = List.filter (fun (i, _) -> i / n_seeds = p) o.Campaign.results in
@@ -126,11 +128,16 @@ let run ~sup ?checkpoint ?(checkpoint_every = 1) ?resume ?(acknowledge = [])
               | _, Ok _ -> None)
             mine
         in
-        compose_preset ~acknowledge ~exhaustive ~name ~cfg ~seeds ~secrets
-          ~evidence ~lost ())
+        match evidence with
+        | [] -> Either.Right (name, lost)
+        | _ :: _ ->
+          Either.Left
+            (compose_preset ~acknowledge ~exhaustive ~name ~cfg ~seeds ~secrets
+               ~evidence ~lost ()))
       presets
+    |> List.partition_map Fun.id
   in
-  { reports; notes = o.Campaign.notes; resumed_tasks = o.Campaign.resumed }
+  { reports; unproved; notes = o.Campaign.notes; resumed_tasks = o.Campaign.resumed }
 
 (* ------------------------------------------------------------------ *)
 

@@ -23,7 +23,13 @@ type report = {
 }
 
 type outcome = {
-  reports : report list;  (** one per preset, in input order *)
+  reports : report list;
+      (** one per preset that has evidence, in input order *)
+  unproved : (string * (int * string) list) list;
+      (** presets whose every evidence task was lost, in input order,
+          each with its lost tasks (as in a report's [lost]); no theorem
+          is composed for them, since with no evidence every lemma
+          would hold vacuously *)
   notes : string list;  (** resume/checkpoint notes for stderr *)
   resumed_tasks : int;
 }

@@ -17,7 +17,6 @@ type 'r t = {
   execute : fuel:Supervisor.Fuel.t -> int -> 'r;
   codec : 'r codec;
   batch : int;
-  label : string;
 }
 
 type 'r outcome = {
@@ -143,7 +142,7 @@ let run ~sup ?checkpoint ?(resume = false) c =
           | Ok r -> Hashtbl.replace settled k r
           | Error e -> Hashtbl.replace lost k e)
         batch
-        (Supervisor.run sup ~label:c.label ~key:Fun.id c.execute batch);
+        (Supervisor.run sup ~key:Fun.id c.execute batch);
       Option.iter
         (fun path -> Supervisor.checkpoint_save sup ~path (payload c settled))
         checkpoint;

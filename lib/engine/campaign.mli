@@ -38,7 +38,6 @@ type 'r t = {
   execute : fuel:Supervisor.Fuel.t -> int -> 'r;
   codec : 'r codec;
   batch : int;  (** keys per {!Supervisor.run} call; a snapshot follows each *)
-  label : string;  (** the pool's cost-model label *)
 }
 
 type 'r outcome = {

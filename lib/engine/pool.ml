@@ -1,64 +1,56 @@
-(* Adaptive work-stealing domain pool.
+(* Domain pool with one scheduling path.
 
-   Topology: [size - 1] worker domains, each owning a Chase–Lev
-   [Deque.t] (owner pushes/pops LIFO at the bottom; thieves steal FIFO
-   at the top), plus a mutex-guarded injector queue for submissions
-   from domains outside the pool (the usual case: [map] called from
-   the main domain).  The calling domain always helps drain its own
-   call, so a pool is never idle while its owner waits — and a pool
-   whose workers are gone (size 1, or after [shutdown]) degrades to
-   plain in-order [List.map].
+   Topology: [size - 1] worker domains plus whoever calls [map].  Each
+   [map] call is one job: its items in an array, an atomic next-index
+   and an atomic countdown of unsettled items.  The job joins the end
+   of the pool's FIFO of open jobs (a job is open while it has an
+   unclaimed item).  Workers and waiting callers run the same loop:
+   claim one item of the oldest open job with a fetch-and-add on its
+   next-index, run it, repeat.  A worker sleeps only when no job is
+   open; a caller sleeps only when no job is open while its own
+   countdown is still above zero.  A pool whose workers are gone
+   (size 1, or after [shutdown]) degrades to plain in-order [List.map].
 
-   Task acquisition order: own deque (LIFO, cache-warm), then the
-   injector, then steal attempts over the other workers starting from
-   a random victim.  A failed steal CAS ([Retry]) means somebody else
-   is making progress on that deque, so the scanner spins rather than
-   parks.
+   Oldest-first is what lets nested maps make progress without any
+   stealing: a worker that maps inside an item helps the outer job's
+   remaining items before its own, so the outer fan-out keeps every
+   domain busy and the inner jobs are picked up as they open.
 
-   Parking uses an eventcount to avoid lost wakeups: [epoch] is bumped
-   (under the mutex) on every submission batch and at shutdown, and a
-   worker only blocks on the condition variable if the epoch still
-   equals what it read before its last full scan — any submission in
-   between forces a rescan.
+   Sleeping and waking go through one mutex and condition variable.
+   The list of open jobs only changes under the mutex, so a domain
+   that finds it empty under the mutex cannot miss the broadcast that
+   follows the next job's arrival.  The last item of a job to settle
+   also broadcasts under the mutex, which is the wakeup its caller
+   waits for.
 
-   Determinism: each [map]/[map_chunks]/[map_auto] call allocates a
-   slot array; task [k] writes slot [k] and decrements an atomic
-   countdown, and the caller assembles slots in index order once the
-   countdown hits zero.  Steal order therefore never affects results,
+   Determinism: item [k] writes slot [k] of the job's result array,
+   and the caller assembles slots in index order once the countdown
+   hits zero, so which domain ran which item never affects results,
    only timing.  The atomic countdown also publishes the plain slot
-   writes to the assembling domain (release/acquire through the RMW
-   chain).
+   writes to the assembling domain.
 
-   Failure semantics: a chunk task catches the exception of its first
-   failing element; after all tasks settle, the lowest-indexed failure
-   is re-raised — exactly the exception a sequential left-to-right map
-   over the same chunking would have raised first. *)
+   Failure semantics: every item settles, raising or not; then the
+   lowest-indexed failure is re-raised — exactly the exception a
+   sequential left-to-right map would have raised first. *)
 
-type task = unit -> unit
-
-type worker = {
-  w_index : int;
-  w_deque : task Deque.t;
-  mutable w_steals : int;
-  mutable w_executed : int;
+type job = {
+  items : int;
+  run : int -> unit;  (** settle item [k] into slot [k] *)
+  next : int Atomic.t;  (** the next unclaimed item *)
+  pending : int Atomic.t;  (** items not yet settled *)
 }
 
 type t = {
   id : int;
   size : int;
-  injector : task Queue.t;
   mutex : Mutex.t;
   wake : Condition.t;
-  epoch : int Atomic.t;
-  mutable sleepers : int;
-  mutable stop : bool;
-  workers_state : worker array;
+  jobs : job list Atomic.t;  (** open jobs, oldest first; set under [mutex] *)
+  stop : bool Atomic.t;
   mutable workers : unit Domain.t array;
-  foreign_steals : int Atomic.t;
-  foreign_executed : int Atomic.t;
+  executed : int Atomic.t;
   injected : int Atomic.t;
   minor_heap_words : int option;
-  cost : Cost_model.t;
 }
 
 type stats = {
@@ -72,160 +64,71 @@ type stats = {
 
 let next_id = Atomic.make 0
 
-(* Which pool's worker is this domain?  Keyed by pool id so a nested
-   [map] on a *different* pool is correctly treated as foreign. *)
-let dls_key : (int * worker) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_worker pool =
-  match Domain.DLS.get dls_key with
-  | Some (id, w) when id = pool.id -> Some w
-  | _ -> None
+(* Which pool is this domain a worker of?  Only items submitted from
+   outside the pool count as injected. *)
+let worker_of : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let recommended () = Calibrate.recommended ()
 
-(* Cheap xorshift for victim selection; only steal fairness depends on
-   it, never results. *)
-let rand_next r =
-  let x = !r in
-  let x = if x = 0 then 0x2545F4914F6CDD1D else x in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = (x lxor (x lsl 17)) land max_int in
-  r := x;
-  x
+let no_open_job pool = match Atomic.get pool.jobs with [] -> true | _ :: _ -> false
 
-type got = Got of task | Contended | Nothing
+(* Claim one item of the oldest open job, retiring jobs found with no
+   unclaimed item left. *)
+let rec claim pool =
+  match Atomic.get pool.jobs with
+  | [] -> None
+  | j :: _ ->
+    let k = Atomic.fetch_and_add j.next 1 in
+    if k < j.items then Some (j, k)
+    else begin
+      Mutex.protect pool.mutex (fun () ->
+          Atomic.set pool.jobs (List.filter (fun j' -> j' != j) (Atomic.get pool.jobs)));
+      claim pool
+    end
 
-let try_injector pool =
-  (* Racy emptiness peek: keeps the common empty case lock-free.  A
-     stale "empty" answer is caught by the eventcount rescan. *)
-  if Queue.is_empty pool.injector then None
-  else begin
-    Mutex.lock pool.mutex;
-    let r =
-      if Queue.is_empty pool.injector then None
-      else Some (Queue.pop pool.injector)
-    in
-    Mutex.unlock pool.mutex;
-    r
+(* The one loop, for workers and waiting callers alike: run items until
+   [until ()] holds, sleeping only while no job is open. *)
+let rec help pool ~until =
+  if not (until ()) then begin
+    (match claim pool with
+    | Some (j, k) ->
+      j.run k;
+      Atomic.incr pool.executed;
+      if Atomic.fetch_and_add j.pending (-1) = 1 then
+        Mutex.protect pool.mutex (fun () -> Condition.broadcast pool.wake)
+    | None ->
+      Mutex.protect pool.mutex (fun () ->
+          if no_open_job pool && not (until ()) then
+            Condition.wait pool.wake pool.mutex));
+    help pool ~until
   end
 
-let try_steal pool self rr =
-  let n = Array.length pool.workers_state in
-  if n = 0 then Nothing
-  else begin
-    let start = rand_next rr mod n in
-    let contended = ref false in
-    let found = ref None in
-    let i = ref 0 in
-    while !found = None && !i < n do
-      let v = pool.workers_state.((start + !i) mod n) in
-      let skip = match self with Some w -> w == v | None -> false in
-      (if not skip then
-         match Deque.steal v.w_deque with
-         | Deque.Stolen task -> found := Some task
-         | Deque.Retry -> contended := true
-         | Deque.Empty -> ());
-      incr i
-    done;
-    match !found with
-    | Some task ->
-      (match self with
-      | Some w -> w.w_steals <- w.w_steals + 1
-      | None -> Atomic.incr pool.foreign_steals);
-      Got task
-    | None -> if !contended then Contended else Nothing
-  end
+let worker_loop (pool : t) () =
+  Option.iter Calibrate.apply_minor_heap pool.minor_heap_words;
+  Domain.DLS.set worker_of (Some pool.id);
+  (* At shutdown a worker exits once no job is open; a caller still
+     waiting on its countdown runs whatever items remain. *)
+  help pool ~until:(fun () -> Atomic.get pool.stop && no_open_job pool)
 
-let try_get pool self rr =
-  match
-    match self with Some w -> Deque.pop w.w_deque | None -> None
-  with
-  | Some task -> Got task
-  | None -> (
-    match try_injector pool with
-    | Some task -> Got task
-    | None -> try_steal pool self rr)
-
-(* Bump the eventcount and wake sleepers; callers must have made the
-   new work reachable (deque push / injector add) beforehand. *)
-let signal pool =
-  Mutex.lock pool.mutex;
-  Atomic.incr pool.epoch;
-  if pool.sleepers > 0 then Condition.broadcast pool.wake;
-  Mutex.unlock pool.mutex
-
-let submit_batch pool self tasks =
-  match self with
-  | Some w ->
-    List.iter (fun task -> Deque.push w.w_deque task) tasks;
-    signal pool
-  | None ->
-    Mutex.lock pool.mutex;
-    List.iter
-      (fun task ->
-        Queue.add task pool.injector;
-        Atomic.incr pool.injected)
-      tasks;
-    Atomic.incr pool.epoch;
-    if pool.sleepers > 0 then Condition.broadcast pool.wake;
-    Mutex.unlock pool.mutex
-
-let worker_loop (pool : t) w =
-  (match pool.minor_heap_words with
-  | Some words -> Calibrate.apply_minor_heap words
-  | None -> ());
-  Domain.DLS.set dls_key (Some (pool.id, w));
-  let rr = ref (0x9E3779B9 + w.w_index) in
-  let rec loop () =
-    let seen = Atomic.get pool.epoch in
-    match try_get pool (Some w) rr with
-    | Got task ->
-      w.w_executed <- w.w_executed + 1;
-      task ();
-      loop ()
-    | Contended ->
-      Domain.cpu_relax ();
-      loop ()
-    | Nothing ->
-      Mutex.lock pool.mutex;
-      if Atomic.get pool.epoch <> seen then begin
-        (* Work arrived between scan and lock: rescan. *)
-        Mutex.unlock pool.mutex;
-        loop ()
-      end
-      else if pool.stop then
-        (* Epoch unchanged since a full empty scan, so nothing is left
-           to drain (any submission bumps the epoch): exit. *)
-        Mutex.unlock pool.mutex
-      else begin
-        pool.sleepers <- pool.sleepers + 1;
-        Condition.wait pool.wake pool.mutex;
-        pool.sleepers <- pool.sleepers - 1;
-        Mutex.unlock pool.mutex;
-        loop ()
-      end
-  in
-  loop ();
-  Domain.DLS.set dls_key None
+(* Ask the workers to exit; [true] for the call that asked first. *)
+let signal_stop pool =
+  Mutex.protect pool.mutex (fun () ->
+      let first = not (Atomic.exchange pool.stop true) in
+      Condition.broadcast pool.wake;
+      first)
 
 (* Spawn all workers, or clean up whatever was spawned before the
    failure: a half-built pool must not leak running domains. *)
 let spawn_workers pool =
   let spawned = ref [] in
   match
-    Array.iter
-      (fun w -> spawned := Domain.spawn (fun () -> worker_loop pool w) :: !spawned)
-      pool.workers_state
+    for _ = 2 to pool.size do
+      spawned := Domain.spawn (worker_loop pool) :: !spawned
+    done
   with
   | () -> Ok (Array.of_list !spawned)
   | exception e ->
-    Mutex.lock pool.mutex;
-    pool.stop <- true;
-    Atomic.incr pool.epoch;
-    Condition.broadcast pool.wake;
-    Mutex.unlock pool.mutex;
+    ignore (signal_stop pool);
     List.iter Domain.join !spawned;
     Error (Printexc.to_string e)
 
@@ -233,21 +136,14 @@ let fresh ?minor_heap_words size =
   {
     id = Atomic.fetch_and_add next_id 1;
     size;
-    injector = Queue.create ();
     mutex = Mutex.create ();
     wake = Condition.create ();
-    epoch = Atomic.make 0;
-    sleepers = 0;
-    stop = false;
-    workers_state =
-      Array.init (max 0 (size - 1)) (fun i ->
-          { w_index = i; w_deque = Deque.create (); w_steals = 0; w_executed = 0 });
+    jobs = Atomic.make [];
+    stop = Atomic.make false;
     workers = [||];
-    foreign_steals = Atomic.make 0;
-    foreign_executed = Atomic.make 0;
+    executed = Atomic.make 0;
     injected = Atomic.make 0;
     minor_heap_words;
-    cost = Cost_model.create ();
   }
 
 (* Default sizing is calibrated; an explicit [~domains] is honoured
@@ -267,138 +163,57 @@ let resolve ?domains ?minor_heap_words () =
     in
     (h.Calibrate.recommended, mh)
 
-let create ?domains ?minor_heap_words () =
-  let size, mh = resolve ?domains ?minor_heap_words () in
-  let pool = fresh ?minor_heap_words:mh size in
-  if size > 1 then begin
-    match spawn_workers pool with
-    | Ok ws -> pool.workers <- ws
-    | Error msg -> failwith ("Pool.create: cannot spawn workers: " ^ msg)
-  end;
-  pool
-
 let create_opt ?domains ?minor_heap_words () =
   let size, mh = resolve ?domains ?minor_heap_words () in
   let pool = fresh ?minor_heap_words:mh size in
   if size <= 1 then Ok pool
   else
-    match spawn_workers pool with
-    | Ok ws ->
-      pool.workers <- ws;
-      Ok pool
-    | Error msg -> Error msg
+    Result.map
+      (fun ws ->
+        pool.workers <- ws;
+        pool)
+      (spawn_workers pool)
+
+let create ?domains ?minor_heap_words () =
+  match create_opt ?domains ?minor_heap_words () with
+  | Ok pool -> pool
+  | Error msg -> failwith ("Pool.create: cannot spawn workers: " ^ msg)
 
 let size t = t.size
-let parallel_available pool = Array.length pool.workers > 0
 
-(* Help run tasks until this call's countdown hits zero.  The caller
-   never blocks while any task is reachable (own deque, injector, or
-   stealable), so every pending task is always either running or
-   acquirable by somebody — the final decrement's broadcast is the
-   only wakeup the wait needs. *)
-let help_until pool self remaining call_mutex call_done =
-  let rr = ref (match self with Some w -> 31 * (w.w_index + 1) | None -> 7) in
-  let rec go () =
-    if Atomic.get remaining > 0 then
-      match try_get pool self rr with
-      | Got task ->
-        (match self with
-        | Some w -> w.w_executed <- w.w_executed + 1
-        | None -> Atomic.incr pool.foreign_executed);
-        task ();
-        go ()
-      | Contended ->
-        Domain.cpu_relax ();
-        go ()
-      | Nothing ->
-        Mutex.lock call_mutex;
-        if Atomic.get remaining > 0 then Condition.wait call_done call_mutex;
-        Mutex.unlock call_mutex;
-        go ()
-  in
-  go ()
-
-let map_chunked pool ~chunk f xs =
+let map pool f xs =
   match xs with
   | [] -> []
-  | _ when not (parallel_available pool) ->
+  | _ when Array.length pool.workers = 0 ->
     (* Sequential fallback: left-to-right, first failure raises —
        byte-identical results to the parallel path. *)
     List.map f xs
   | _ ->
     let arr = Array.of_list xs in
     let n = Array.length arr in
-    let chunk = max 1 (min chunk n) in
-    let nchunks = (n + chunk - 1) / chunk in
-    let slots = Array.make nchunks None in
-    let remaining = Atomic.make nchunks in
-    let call_mutex = Mutex.create () in
-    let call_done = Condition.create () in
-    let self = current_worker pool in
-    let run_chunk k () =
-      let lo = k * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      let r =
-        try
-          let out = ref [] in
-          for i = lo to hi do
-            out := f arr.(i) :: !out
-          done;
-          Ok (List.rev !out)
-        with e -> Error e
-      in
-      slots.(k) <- Some r;
-      if Atomic.fetch_and_add remaining (-1) = 1 then begin
-        Mutex.lock call_mutex;
-        Condition.broadcast call_done;
-        Mutex.unlock call_mutex
-      end
+    let slots = Array.make n None in
+    let job =
+      {
+        items = n;
+        run = (fun k -> slots.(k) <- Some (try Ok (f arr.(k)) with e -> Error e));
+        next = Atomic.make 0;
+        pending = Atomic.make n;
+      }
     in
-    submit_batch pool self (List.init nchunks run_chunk);
-    help_until pool self remaining call_mutex call_done;
-    (* Re-raise the lowest-indexed failure: exactly the exception a
-       sequential left-to-right map would have raised first. *)
-    Array.iter
-      (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-      slots;
-    let out = ref [] in
-    for k = nchunks - 1 downto 0 do
-      match slots.(k) with
-      | Some (Ok vs) -> out := vs @ !out
-      | Some (Error _) | None -> assert false
-    done;
-    !out
-
-let map pool f xs = map_chunked pool ~chunk:1 f xs
-
-let map_chunks pool ~chunk f xs =
-  if chunk <= 0 then invalid_arg "Pool.map_chunks: chunk must be positive";
-  map_chunked pool ~chunk f xs
-
-let map_auto ?(label = "default") pool f xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let n = List.length xs in
-    let chunk = Cost_model.chunk pool.cost ~label ~items:n ~workers:pool.size in
-    let t0 = Unix.gettimeofday () in
-    let r = map_chunked pool ~chunk f xs in
-    let dt = Unix.gettimeofday () -. t0 in
-    (* Wall-clock under parallel execution undercounts per-item CPU
-       cost by up to the pool size; scale so the estimate stays an
-       upper bound and chunks stay conservatively small. *)
-    let eff = if parallel_available pool then float_of_int pool.size else 1. in
-    Cost_model.observe pool.cost ~label ~items:n ~seconds:(dt *. eff);
-    r
+    if Domain.DLS.get worker_of <> Some pool.id then
+      ignore (Atomic.fetch_and_add pool.injected n);
+    Mutex.protect pool.mutex (fun () ->
+        Atomic.set pool.jobs (Atomic.get pool.jobs @ [ job ]);
+        Condition.broadcast pool.wake);
+    help pool ~until:(fun () -> Atomic.get job.pending = 0);
+    Array.iter (function Some (Error e) -> raise e | _ -> ()) slots;
+    Array.fold_right
+      (fun slot acc ->
+        match slot with Some (Ok v) -> v :: acc | Some (Error _) | None -> assert false)
+      slots []
 
 let shutdown pool =
-  Mutex.lock pool.mutex;
-  if pool.stop then Mutex.unlock pool.mutex
-  else begin
-    pool.stop <- true;
-    Atomic.incr pool.epoch;
-    Condition.broadcast pool.wake;
-    Mutex.unlock pool.mutex;
+  if signal_stop pool then begin
     Array.iter Domain.join pool.workers;
     pool.workers <- [||]
   end
@@ -408,23 +223,11 @@ let with_pool ?domains f =
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let stats (pool : t) =
-  let ws = pool.workers_state in
-  let steals =
-    Array.fold_left (fun a w -> a + w.w_steals) (Atomic.get pool.foreign_steals) ws
-  in
-  let executed =
-    Array.fold_left
-      (fun a w -> a + w.w_executed)
-      (Atomic.get pool.foreign_executed)
-      ws
-  in
   {
     pool_size = pool.size;
     spawned_domains = Array.length pool.workers;
-    steals;
-    tasks_executed = executed;
+    steals = 0;
+    tasks_executed = Atomic.get pool.executed;
     tasks_injected = Atomic.get pool.injected;
     minor_heap_words = pool.minor_heap_words;
   }
-
-let cost_model t = t.cost

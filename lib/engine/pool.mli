@@ -1,5 +1,4 @@
-(** An adaptive work-stealing domain pool for fanning out independent
-    trials.
+(** A domain pool for fanning out independent trials.
 
     The experiment suite is embarrassingly parallel: every (secret, seed)
     trial builds its own fresh kernel and shares no mutable state with any
@@ -7,13 +6,15 @@
     one another.  This pool turns that independence into wall-clock
     speedup on OCaml 5 multicore without any external dependency.
 
-    Scheduling: each worker domain owns a Chase–Lev {!Deque} it pushes
-    and pops locally (LIFO, cache-friendly); idle workers steal the
-    oldest task from a random victim (lock-free); submissions from
-    domains outside the pool go through a small mutex-guarded injector
-    queue.  Workers park on a condition variable through an eventcount
-    (epoch counter) protocol, so an idle pool burns no CPU and a
-    submission can never be missed.
+    Scheduling: each {!map} call is one job — its items, an atomic
+    next-index and a countdown — appended to the pool's FIFO of open
+    jobs.  Worker domains and the waiting caller run the same loop:
+    claim one item of the oldest open job with a fetch-and-add, run it,
+    repeat.  Workers sleep on a condition variable while no job is
+    open, so an idle pool burns no CPU; a caller sleeps only when no job
+    is open while items of its own job are still running elsewhere.  A
+    {!map} inside an item (nested fan-out) opens its own job and helps
+    the older ones first, so it never deadlocks.
 
     Sizing: the default domain count comes from {!Calibrate} — a
     1-core container (or a CPU-quota'd host whose probe shows no real
@@ -23,12 +24,12 @@
     stop-the-world minor collections.  An explicit [~domains] is
     always honoured verbatim.
 
-    Determinism guarantee: {!map}, {!map_chunks} and {!map_auto}
-    return results in input order — every task writes a dedicated slot
-    of a per-call array — and because every submitted function is pure
-    (no shared state), the result list is bit-identical to [List.map]
-    regardless of pool size, chunking, or steal order.  Parallelism
-    never changes reported capacities. *)
+    Determinism guarantee: {!map} returns results in input order —
+    item [k] writes slot [k] of a per-call array — and because every
+    submitted function is pure (no shared state), the result list is
+    bit-identical to [List.map] regardless of pool size or of which
+    domain ran which item.  Parallelism never changes reported
+    capacities. *)
 
 type t
 
@@ -57,32 +58,21 @@ val size : t -> int
 (** Total parallelism of the pool, including the calling domain. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] applies [f] to every element of [xs], distributing
-    the work across the pool, and returns the results in input order.
-    The caller participates in draining the work, so a pool is never
-    idle while its owner waits.  If one or more applications raise, the
-    exception of the {e lowest-indexed} failing element is re-raised
-    after all submitted work has settled — deterministically, matching
-    what sequential [List.map] would have raised first. *)
-
-val map_chunks : t -> chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_chunks pool ~chunk f xs] is [map pool f xs] submitting [chunk]
-    consecutive elements per task, for workloads where [f] is cheap
-    enough that per-task scheduling traffic would dominate.  Results
-    keep input order and the lowest-indexed failure is re-raised, like
-    {!map}. *)
-
-val map_auto : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_auto ~label pool f xs] is {!map_chunks} with the chunk size
-    chosen by the pool's {!Cost_model} from past observations of
-    [label] (E7-scale trials get chunk 1; E10-scale rows get hundreds
-    per chunk), and the run's timing fed back into the model.
-    Chunking affects scheduling only, never results. *)
+(** [map pool f xs] applies [f] to every element of [xs], one item per
+    claim, distributing the work across the pool, and returns the
+    results in input order.  The caller participates in draining the
+    work, so a pool is never idle while its owner waits.  If one or more
+    applications raise, every item still runs, and then the exception
+    of the {e lowest-indexed} failing element is re-raised —
+    deterministically, matching what sequential [List.map] would have
+    raised first. *)
 
 val shutdown : t -> unit
-(** Graceful shutdown: signals the workers, lets them drain any jobs
-    still queued, and joins them.  Idempotent.  A pool that has been shut
-    down remains usable: {!map} simply runs sequentially. *)
+(** Graceful shutdown: signals the workers, lets them finish the
+    items of any job still open, and joins them.  Idempotent.  A pool that has been shut
+    down remains usable: {!map} simply runs sequentially.  A {!map}
+    already in flight completes; its caller runs the items the workers
+    left. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] over a fresh pool and shuts it down
@@ -93,9 +83,9 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 type stats = {
   pool_size : int;  (** {!size}: workers + the calling domain *)
   spawned_domains : int;  (** worker domains currently running *)
-  steals : int;  (** tasks taken from another worker's deque *)
-  tasks_executed : int;  (** tasks run by workers or helping callers *)
-  tasks_injected : int;  (** tasks submitted from outside the pool *)
+  steals : int;  (** always 0: items are claimed, never stolen *)
+  tasks_executed : int;  (** items run by workers or helping callers *)
+  tasks_injected : int;  (** items submitted from outside the pool *)
   minor_heap_words : int option;
       (** per-worker minor-heap sizing in force, if any *)
 }
@@ -103,6 +93,3 @@ type stats = {
 val stats : t -> stats
 (** Scheduling counters since creation.  Counter reads are racy while
     work is in flight; exact when the pool is quiescent. *)
-
-val cost_model : t -> Cost_model.t
-(** The pool's chunk-size model ({!map_auto} feeds and consults it). *)

@@ -271,7 +271,7 @@ let exec t ~key f x =
 
 type 'a slot = Run of int * 'a | Dup of int
 
-let run (type a b) (t : t) ?chunk ?label ~(key : a -> int)
+let run (type a b) (t : t) ?label:_ ~(key : a -> int)
     (f : fuel:Fuel.t -> a -> b) (xs : a list) :
     (b, task_error) result list =
   let tagged = List.map (fun x -> (key x, x)) xs in
@@ -304,14 +304,7 @@ let run (type a b) (t : t) ?chunk ?label ~(key : a -> int)
   in
   let job_results =
     let go (k, x) = exec t ~key:k f x in
-    match t.pool with
-    | Some p when Pool.size p > 1 -> (
-      (* An explicit [chunk] is honoured; otherwise the pool's cost
-         model sizes chunks from past observations of [label]. *)
-      match chunk with
-      | Some chunk -> Pool.map_chunks p ~chunk go jobs
-      | None -> Pool.map_auto ?label p go jobs)
-    | Some _ | None -> List.map go jobs
+    match t.pool with Some p -> Pool.map p go jobs | None -> List.map go jobs
   in
   let results = Hashtbl.create (List.length jobs) in
   List.iter2 (fun (k, _) r -> Hashtbl.replace results k r) jobs job_results;

@@ -119,7 +119,6 @@ val with_supervisor :
 
 val run :
   t ->
-  ?chunk:int ->
   ?label:string ->
   key:('a -> int) ->
   (fuel:Fuel.t -> 'a -> 'b) ->
@@ -130,11 +129,9 @@ val run :
     result per input element, in input order.  [key] must be injective
     over the call's genuinely distinct tasks — equal keys are treated
     as accidental resubmission and every occurrence after the first is
-    rejected.  An explicit [chunk] batches tasks as in
-    {!Pool.map_chunks}; when omitted, the chunk size is chosen
-    adaptively by the pool's cost model under [label] (see
-    {!Pool.map_auto}).  Chunking never affects results.  Never raises
-    on task failure. *)
+    rejected.  Tasks go through {!Pool.map}.  [label] is accepted and
+    ignored: the benchmark harness in [tprobench/] still passes one.
+    Never raises on task failure. *)
 
 val summary : t -> summary
 (** Cumulative over every {!run} call on this supervisor. *)

@@ -21,13 +21,8 @@ let shrink_failure (s, m) =
   in
   { scenario = s; message = m; shrunk; shrunk_message }
 
-(* Chunk sizes are chosen by the pool's cost model per label: fuzz
-   trials and topology trials have very different per-item costs, and
-   both drift with trial size, so no static chunk fits. *)
-let map_trials ?pool ?(label = "fuzz-trial") f idxs =
-  match pool with
-  | Some p when Pool.size p > 1 -> Pool.map_auto ~label p f idxs
-  | Some _ | None -> List.map f idxs
+let map_trials ?pool f idxs =
+  match pool with Some p -> Pool.map p f idxs | None -> List.map f idxs
 
 let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
   let f i = check_one (Scenario.generate ~seed ~mutant i) in
@@ -37,13 +32,13 @@ let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
 (* First trial within [budget] for which [f] answers [Some], scanning in
    blocks so a pool can be used without losing the early exit.  Returns
    the trial's 1-based position with the answer. *)
-let first_in_blocks ?pool ~label ~budget f =
+let first_in_blocks ?pool ~budget f =
   let block = match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16 in
   let rec go start =
     if start >= budget then None
     else
       let n = min block (budget - start) in
-      let results = map_trials ?pool ~label f (List.init n (fun i -> start + i)) in
+      let results = map_trials ?pool f (List.init n (fun i -> start + i)) in
       match List.find_mapi (fun i r -> Option.map (fun x -> (start + i + 1, x)) r) results with
       | Some _ as found -> found
       | None -> go (start + n)
@@ -51,7 +46,7 @@ let first_in_blocks ?pool ~label ~budget f =
   go 0
 
 let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
-  first_in_blocks ?pool ~label:"fuzz-trial" ~budget (fun i ->
+  first_in_blocks ?pool ~budget (fun i ->
       check_one (Scenario.generate ~seed ~mutant i))
   |> Option.map (fun (used, fail) -> (used, shrink_failure fail))
 
@@ -93,8 +88,8 @@ type task_failure = { trial : int; error : Supervisor.task_error }
 
 (* Run [trials] verdict tasks as one campaign; return the failing trials
    (index, message) and the lost ones, both in trial order. *)
-let verdict_campaign ~sup ?checkpoint ?resume ~kind ~params ~label ~batch
-    ~trials execute =
+let verdict_campaign ~sup ?checkpoint ?resume ~kind ~params ~batch ~trials
+    execute =
   let o =
     Campaign.run ~sup ?checkpoint ?resume
       {
@@ -104,7 +99,6 @@ let verdict_campaign ~sup ?checkpoint ?resume ~kind ~params ~label ~batch
         execute;
         codec = verdict_codec;
         batch;
-        label;
       }
   in
   let failing =
@@ -133,7 +127,7 @@ let campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
     verdict_campaign ~sup ?checkpoint ?resume ~kind:"fuzz"
       ~params:
         [ ("seed", string_of_int seed); ("mutant", Scenario.mutant_to_string mutant) ]
-      ~label:"fuzz-trial" ~batch:checkpoint_every ~trials
+      ~batch:checkpoint_every ~trials
       (fuzz_task ~seed ~mutant)
   in
   {
@@ -170,12 +164,12 @@ let topo_run ?pool ?(mutant = Scenario.No_mutant) ?max_domains ?max_cores ~seed
   let f i =
     check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i)
   in
-  map_trials ?pool ~label:"topo-trial" f (List.init trials Fun.id)
+  map_trials ?pool f (List.init trials Fun.id)
   |> List.filter_map Fun.id
 
 let topo_first_failure ?pool ?(mutant = Scenario.No_mutant) ?max_domains
     ?max_cores ~seed ~budget () =
-  first_in_blocks ?pool ~label:"topo-trial" ~budget (fun i ->
+  first_in_blocks ?pool ~budget (fun i ->
       check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i))
 
 type topo_campaign = {
@@ -198,7 +192,7 @@ let topo_campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
           ("domains", string_of_int max_domains);
           ("cores", string_of_int max_cores);
         ]
-      ~label:"topo-trial" ~batch:checkpoint_every ~trials
+      ~batch:checkpoint_every ~trials
       (topo_task ~seed ~mutant ~max_domains ~max_cores)
   in
   {

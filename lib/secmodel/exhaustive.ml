@@ -109,11 +109,7 @@ let check_with ~map ~build u =
 let check ~build u = check_with ~map:List.map ~build u
 
 let check_par ?pool ?domains ~build u =
-  let run p =
-    check_with
-      ~map:(Tpro_engine.Pool.map_auto ~label:"exhaustive-program" p)
-      ~build u
-  in
+  let run p = check_with ~map:(Tpro_engine.Pool.map p) ~build u in
   match pool with
   | Some p -> run p
   | None -> Tpro_engine.Pool.with_pool ?domains run

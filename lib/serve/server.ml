@@ -331,7 +331,7 @@ let run_batch srv =
     srv.executed <- srv.executed + List.length picked;
     let tasks = List.mapi (fun i e -> (i, e)) picked in
     let settled =
-      Supervisor.run srv.sup ~chunk:1 ~label:"serve" ~key:fst
+      Supervisor.run srv.sup ~key:fst
         (fun ~fuel:_ (_, e) ->
           (* Each attempt runs under its own gauge sized to the job's
              deadline; the supervisor maps the trip to Fuel_exhausted. *)

@@ -69,17 +69,15 @@ let test_pool_reuse_and_shutdown () =
   Alcotest.(check (list int)) "second map" [ 0; 1; 2 ] b;
   Alcotest.(check (list int)) "after shutdown" [ 11; 21 ] c
 
-(* Regression (supervision work): map_chunks on a shut-down pool must
-   keep both halves of the contract — run sequentially in the calling
-   domain honouring ~chunk boundaries, and re-raise the lowest-indexed
-   failure even when a failure in a later chunk executes first within
-   its batch. *)
-let test_map_chunks_after_shutdown () =
+(* Regression (supervision work): map on a shut-down pool must keep
+   both halves of the contract — run sequentially in the calling domain,
+   and re-raise the lowest-indexed failure. *)
+let test_map_after_shutdown () =
   let pool = Pool.create ~domains:3 () in
   Pool.shutdown pool;
   let order = ref [] in
   let ys =
-    Pool.map_chunks pool ~chunk:4
+    Pool.map pool
       (fun x ->
         order := x :: !order;
         x * 3)
@@ -95,7 +93,7 @@ let test_map_chunks_after_shutdown () =
   Alcotest.check_raises "lowest-indexed failure re-raised" (Boom 3)
     (fun () ->
       ignore
-        (Pool.map_chunks pool ~chunk:2
+        (Pool.map pool
            (fun x -> if x >= 3 then raise (Boom x) else x)
            [ 0; 1; 2; 3; 4; 5; 6; 7 ]))
 
@@ -223,11 +221,11 @@ let test_check_par_matches_check () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler determinism regressions: the adaptive work-stealing pool
-   must leave every user-facing report byte-identical whatever the
-   fan-out — campaign, prove and topology sweeps at -j 1, -j 4 and
-   pool-less sequential, on two seeds, including runs resumed from a
-   checkpoint written under a *different* fan-out. *)
+(* Scheduler determinism regressions: the pool must leave every
+   user-facing report byte-identical whatever the fan-out — campaign,
+   prove and topology sweeps at -j 1, -j 4 and pool-less sequential, on
+   two seeds, including runs resumed from a checkpoint written under a
+   *different* fan-out. *)
 
 let with_tmp f =
   let path = Filename.temp_file "tpro-par-ck" ".txt" in
@@ -389,8 +387,8 @@ let suite =
       test_lowest_index_exception_wins;
     Alcotest.test_case "pool: reuse and idempotent shutdown" `Quick
       test_pool_reuse_and_shutdown;
-    Alcotest.test_case "pool: map_chunks after shutdown" `Quick
-      test_map_chunks_after_shutdown;
+    Alcotest.test_case "pool: map after shutdown" `Quick
+      test_map_after_shutdown;
     Alcotest.test_case "pool: 500-way fan-out sums" `Quick test_parallel_sum;
     Alcotest.test_case "pool: nested map does not deadlock" `Quick
       test_nested_map;

@@ -14,6 +14,11 @@ module Prove = Time_protection.Prove
 let smoke_seeds = [ 0 ]
 let smoke_secrets = [ 0; 1 ]
 
+let contains haystack needle =
+  let lh = String.length haystack and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub haystack i ln = needle || go (i + 1)) in
+  go 0
+
 let lemma ?(verdict = Lemma.Proved "ok") lid =
   {
     Lemma.lid;
@@ -211,13 +216,42 @@ let test_prove_run () =
         List.iter
           (fun needle ->
             Alcotest.(check bool) ("json mentions " ^ needle) true
-              (let lh = String.length json and ln = String.length needle in
-               let rec go i =
-                 i + ln <= lh && (String.sub json i ln = needle || go (i + 1))
-               in
-               go 0))
+              (contains json needle))
           [ "\"preset\": \"full\""; "\"preset\": \"none\""; "flush:l1d0" ]
       | l -> Alcotest.failf "expected 2 reports, got %d" (List.length l))
+
+(* --- a preset whose every seed is lost -------------------------------- *)
+
+(* Task 0 (full, seed 0) raises on every attempt, so [full] has no
+   evidence at all.  It must get no theorem — composing from nothing
+   would read HOLDS — and its lost task must be returned; [none], with
+   its evidence intact, is still composed and refuted. *)
+let test_preset_with_every_seed_lost () =
+  Tpro_engine.Supervisor.with_supervisor ~domains:1 ~retries:0
+    ~fault:(Tpro_engine.Supervisor.Raise_always { key = 0 })
+    (fun sup ->
+      let o =
+        Prove.run ~sup ~exhaustive:false ~seeds:[ 0 ] ~secrets:smoke_secrets
+          ~presets:[ ("full", Presets.full); ("none", Presets.none) ]
+          ()
+      in
+      Alcotest.(check (list string))
+        "only the preset with evidence is composed" [ "none" ]
+        (List.map (fun r -> r.Prove.preset) o.Prove.reports);
+      Alcotest.(check (list (pair string (list int))))
+        "full is returned unproved, with its lost task"
+        [ ("full", [ 0 ]) ]
+        (List.map (fun (name, lost) -> (name, List.map fst lost)) o.Prove.unproved);
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "none refuted" true
+            (r.Prove.theorem.Theorem.refuted <> []))
+        o.Prove.reports;
+      let json = Prove.to_json o.Prove.reports in
+      Alcotest.(check bool) "json gives full no verdict" false
+        (contains json "\"preset\": \"full\"");
+      Alcotest.(check bool) "json still reports none" true
+        (contains json "\"preset\": \"none\""))
 
 (* --- partial checkpoint resume ------------------------------------- *)
 
@@ -263,6 +297,8 @@ let suite =
     Alcotest.test_case "per-kind exhaustive universes" `Quick
       test_kind_universes;
     Alcotest.test_case "Prove.run derives every lemma" `Quick test_prove_run;
+    Alcotest.test_case "a preset with every seed lost gets no theorem" `Quick
+      test_preset_with_every_seed_lost;
     Alcotest.test_case "partial checkpoint resume recomposes identically"
       `Quick test_partial_resume;
   ]

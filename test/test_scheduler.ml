@@ -1,8 +1,8 @@
-(* Torture suite for the adaptive work-stealing scheduler: the
-   Chase–Lev deque's lock-free invariants, the pool's determinism
-   under real domain contention, the calibration fallback that keeps a
-   1-core host sequential, and the cost model behind adaptive
-   chunking.
+(* Torture suite for the domain pool: determinism of its one job loop
+   under real domain contention (10k items, two foreign callers with
+   nested maps, a shutdown racing a map in flight), the settle-then-raise
+   failure contract, and the calibration fallback that keeps a 1-core
+   host sequential.
 
    Every randomized test derives its randomness from TPRO_SCHED_SEED
    (default 0), so CI can re-run the whole suite under several seeds
@@ -30,243 +30,6 @@ let spin i =
 let multiset l = List.sort compare l
 
 (* ------------------------------------------------------------------ *)
-(* Deque: sequential invariants                                        *)
-
-let test_deque_lifo_owner () =
-  let q = Deque.create () in
-  List.iter (Deque.push q) [ 1; 2; 3 ];
-  (* explicit sequencing: list literals evaluate right-to-left *)
-  let p1 = Deque.pop q in
-  let p2 = Deque.pop q in
-  let p3 = Deque.pop q in
-  let p4 = Deque.pop q in
-  Alcotest.(check (list (option int)))
-    "owner pops newest first"
-    [ Some 3; Some 2; Some 1; None ]
-    [ p1; p2; p3; p4 ]
-
-let test_deque_fifo_thief () =
-  let q = Deque.create () in
-  List.iter (Deque.push q) [ 1; 2; 3 ];
-  let s1 = Deque.steal_opt q in
-  let s2 = Deque.steal_opt q in
-  let s3 = Deque.steal_opt q in
-  let s4 = Deque.steal_opt q in
-  Alcotest.(check (list (option int)))
-    "thief steals oldest first"
-    [ Some 1; Some 2; Some 3; None ]
-    [ s1; s2; s3; s4 ]
-
-let test_deque_empty () =
-  let q : int Deque.t = Deque.create () in
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop q);
-  Alcotest.(check (option int)) "steal empty" None (Deque.steal_opt q);
-  Alcotest.(check int) "size empty" 0 (Deque.size q);
-  Alcotest.(check bool) "is_empty" true (Deque.is_empty q);
-  (* empty after a push/pop cycle too, not just when fresh *)
-  Deque.push q 7;
-  ignore (Deque.pop q);
-  Alcotest.(check (option int)) "pop after drain" None (Deque.pop q)
-
-let test_deque_growth () =
-  (* start at the minimum capacity and push two orders of magnitude
-     more: the circular array must grow without losing or reordering
-     anything, under mixed pop/steal draining *)
-  let q = Deque.create ~capacity:2 () in
-  let n = 500 in
-  for i = 1 to n do
-    Deque.push q i
-  done;
-  Alcotest.(check int) "size" n (Deque.size q);
-  let taken = ref [] in
-  for i = 1 to n do
-    let v = if i mod 2 = 0 then Deque.pop q else Deque.steal_opt q in
-    match v with
-    | Some v -> taken := v :: !taken
-    | None -> Alcotest.fail "deque drained early"
-  done;
-  Alcotest.(check (list int))
-    "multiset preserved across growth"
-    (List.init n (fun i -> i + 1))
-    (multiset !taken)
-
-let prop_deque_multiset =
-  QCheck.Test.make
-    ~name:"deque: any push/pop/steal interleaving preserves the multiset"
-    ~count:300
-    QCheck.(list (int_range 0 2))
-    (fun script ->
-      let q = Deque.create ~capacity:2 () in
-      let next = ref 0 in
-      let pushed = ref [] in
-      let taken = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-            incr next;
-            Deque.push q !next;
-            pushed := !next :: !pushed
-          | 1 -> (
-            match Deque.pop q with
-            | Some v -> taken := v :: !taken
-            | None -> ())
-          | _ -> (
-            match Deque.steal q with
-            | Deque.Stolen v -> taken := v :: !taken
-            | Deque.Retry | Deque.Empty -> ()))
-        script;
-      let rec drain () =
-        match Deque.pop q with
-        | Some v ->
-          taken := v :: !taken;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      multiset !pushed = multiset !taken)
-
-(* ------------------------------------------------------------------ *)
-(* Deque: real contention (>= 4 domains)                               *)
-
-(* One owner (this domain) pushing and popping against four thief
-   domains: every pushed value must be taken exactly once, across any
-   steal interleaving the host produces. *)
-let test_deque_concurrent_multiset () =
-  let rng = Random.State.make [| stress_seed; 1 |] in
-  for _round = 1 to 3 do
-    let q = Deque.create ~capacity:2 () in
-    let n = 2000 + Random.State.int rng 1000 in
-    let stop = Atomic.make false in
-    let thieves =
-      List.init 4 (fun _ ->
-          Domain.spawn (fun () ->
-              let mine = ref [] in
-              let rec sweep () =
-                match Deque.steal q with
-                | Deque.Stolen v ->
-                  mine := v :: !mine;
-                  sweep ()
-                | Deque.Retry -> sweep ()
-                | Deque.Empty -> ()
-              in
-              while not (Atomic.get stop) do
-                (match Deque.steal q with
-                | Deque.Stolen v -> mine := v :: !mine
-                | Deque.Retry -> ()
-                | Deque.Empty -> Domain.cpu_relax ());
-                ()
-              done;
-              sweep ();
-              !mine))
-    in
-    let popped = ref [] in
-    for i = 1 to n do
-      Deque.push q i;
-      if Random.State.int rng 3 = 0 then
-        match Deque.pop q with
-        | Some v -> popped := v :: !popped
-        | None -> ()
-    done;
-    let rec drain () =
-      match Deque.pop q with
-      | Some v ->
-        popped := v :: !popped;
-        drain ()
-      | None -> ()
-    in
-    drain ();
-    Atomic.set stop true;
-    let stolen = List.concat_map Domain.join thieves in
-    Alcotest.(check (list int))
-      "taken exactly once each"
-      (List.init n (fun i -> i + 1))
-      (multiset (!popped @ stolen))
-  done
-
-(* The classic Chase–Lev hazard: owner pop racing a thief for the very
-   last element.  Exactly one side may win each round. *)
-let test_deque_last_element_race () =
-  let q = Deque.create () in
-  let rounds = 2000 in
-  let go = Atomic.make 0 in
-  let finished = Atomic.make false in
-  let stolen = Atomic.make 0 in
-  let thief =
-    Domain.spawn (fun () ->
-        let seen = ref 0 in
-        while not (Atomic.get finished) do
-          let r = Atomic.get go in
-          if r > !seen then begin
-            (match Deque.steal_opt q with
-            | Some _ -> Atomic.incr stolen
-            | None -> ());
-            seen := r
-          end
-          else Domain.cpu_relax ()
-        done)
-  in
-  let popped = ref 0 in
-  for r = 1 to rounds do
-    Deque.push q r;
-    Atomic.set go r;
-    (match Deque.pop q with Some _ -> incr popped | None -> ());
-    (* whoever lost the CAS, the element is claimed: the deque is
-       empty before the next round begins *)
-    while not (Deque.is_empty q) do
-      Domain.cpu_relax ()
-    done
-  done;
-  Atomic.set finished true;
-  Domain.join thief;
-  Alcotest.(check int)
-    "every element taken exactly once" rounds
-    (!popped + Atomic.get stolen)
-
-let test_deque_empty_steal_race () =
-  (* four thieves hammering a mostly-empty deque while the owner
-     pushes tiny bursts: exercises the Empty/Retry paths under real
-     contention *)
-  let q = Deque.create () in
-  let stop = Atomic.make false in
-  let thieves =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            let got = ref 0 in
-            while not (Atomic.get stop) do
-              match Deque.steal q with
-              | Deque.Stolen _ -> incr got
-              | Deque.Retry | Deque.Empty -> ()
-            done;
-            let rec sweep () =
-              match Deque.steal q with
-              | Deque.Stolen _ ->
-                incr got;
-                sweep ()
-              | Deque.Retry -> sweep ()
-              | Deque.Empty -> ()
-            in
-            sweep ();
-            !got))
-  in
-  let bursts = 200 in
-  let kept = ref 0 in
-  for b = 1 to bursts do
-    Deque.push q b;
-    if b mod 2 = 0 then
-      match Deque.pop q with Some _ -> incr kept | None -> ()
-  done;
-  Atomic.set stop true;
-  let stolen = List.fold_left (fun a d -> a + Domain.join d) 0 thieves in
-  let rec drain n =
-    match Deque.pop q with Some _ -> drain (n + 1) | None -> n
-  in
-  let leftover = drain 0 in
-  Alcotest.(check int)
-    "pushes = pops + steals + leftovers" bursts
-    (!kept + stolen + leftover)
-
-(* ------------------------------------------------------------------ *)
 (* Pool: 10k-task stress, determinism under contention                  *)
 
 let test_stress_10k_bit_identical () =
@@ -281,18 +44,14 @@ let test_stress_10k_bit_identical () =
   in
   let expected = List.map f (List.init n Fun.id) in
   Pool.with_pool ~domains:4 (fun pool ->
-      let via_map = Pool.map_chunks pool ~chunk:7 f (List.init n Fun.id) in
       Alcotest.(check bool)
         "10k results in submission order, bit-identical to sequential" true
-        (via_map = expected);
-      let via_auto = Pool.map_auto ~label:"stress" pool f (List.init n Fun.id) in
-      Alcotest.(check bool)
-        "map_auto identical too" true (via_auto = expected))
+        (Pool.map pool f (List.init n Fun.id) = expected))
 
 let test_steal_under_shutdown () =
   (* a map is in flight from a foreign domain when the pool's workers
      are torn down: the call must still complete, correctly ordered,
-     with the caller draining what the workers abandoned *)
+     with the caller running whatever items the workers left *)
   let pool = Pool.create ~domains:4 () in
   let xs = List.init 400 Fun.id in
   let f i =
@@ -300,7 +59,7 @@ let test_steal_under_shutdown () =
     i + 1
   in
   let caller =
-    Domain.spawn (fun () -> Pool.map_chunks pool ~chunk:3 f xs)
+    Domain.spawn (fun () -> Pool.map pool f xs)
   in
   (* races the caller's submission and drain on purpose *)
   Pool.shutdown pool;
@@ -312,45 +71,92 @@ let test_steal_under_shutdown () =
     "pool still usable after shutdown" [ 2; 3 ]
     (Pool.map pool succ [ 1; 2 ])
 
-let test_nested_map_auto () =
+let test_nested_map () =
   Pool.with_pool ~domains:4 (fun pool ->
       let rows =
-        Pool.map_auto ~label:"outer" pool
-          (fun r ->
-            Pool.map_auto ~label:"inner" pool (fun c -> (r * 10) + c)
-              [ 0; 1; 2 ])
+        Pool.map pool
+          (fun r -> Pool.map pool (fun c -> (r * 10) + c) [ 0; 1; 2 ])
           [ 1; 2; 3; 4; 5; 6 ]
       in
       Alcotest.(check (list (list int)))
-        "nested adaptive maps"
+        "nested maps"
         (List.map (fun r -> List.map (fun c -> (r * 10) + c) [ 0; 1; 2 ])
            [ 1; 2; 3; 4; 5; 6 ])
         rows)
 
-let test_map_auto_matches_map () =
+(* Two top-level callers share one pool, and every item maps again, two
+   levels deep: three workers and two callers claim items of dozens of
+   open jobs at once.  Each job must still settle exactly its own
+   items. *)
+let test_two_callers_nested () =
+  let rng = Random.State.make [| stress_seed; 3 |] in
+  let salt = Random.State.int rng 0xFFFF in
+  let leaf a b c =
+    ignore (spin ((a * 97) + (b * 13) + c + salt));
+    (a * 100) + (b * 10) + c
+  in
+  (* caller [who] maps 8 items, each maps 6, each of those maps 4 *)
+  let tree pool who =
+    let map f xs =
+      match pool with Some p -> Pool.map p f xs | None -> List.map f xs
+    in
+    map
+      (fun a ->
+        map
+          (fun b -> map (fun c -> leaf (a + who) b c) (List.init 4 Fun.id))
+          (List.init 6 Fun.id))
+      (List.init 8 (fun a -> a * 1000))
+  in
+  let items_per_caller = 8 + (8 * 6) + (8 * 6 * 4) in
   Pool.with_pool ~domains:4 (fun pool ->
-      let xs = List.init 2000 Fun.id in
-      let f x = (x * 7) - 1 in
-      let expected = List.map f xs in
-      (* repeated runs so the cost model's chunk choice actually moves
-         once estimates exist — results must never move with it *)
-      for _ = 1 to 5 do
-        Alcotest.(check bool)
-          "map_auto == sequential map" true
-          (Pool.map_auto ~label:"cheap" pool f xs = expected)
-      done;
-      match Cost_model.estimate_ns (Pool.cost_model pool) ~label:"cheap" with
-      | Some ns -> Alcotest.(check bool) "estimate recorded" true (ns >= 0.)
-      | None -> Alcotest.fail "no cost estimate after five observations")
+      let go = Atomic.make false in
+      let callers =
+        List.map
+          (fun who ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                tree (Some pool) who))
+          [ 1; 2 ]
+      in
+      Atomic.set go true;
+      let got = List.map Domain.join callers in
+      List.iter2
+        (fun who rows ->
+          Alcotest.(check bool)
+            (Printf.sprintf "caller %d: results equal List.map" who)
+            true
+            (rows = tree None who))
+        [ 1; 2 ] got;
+      Alcotest.(check int)
+        "every item of every job executed exactly once" (2 * items_per_caller)
+        (Pool.stats pool).Pool.tasks_executed)
 
-let test_map_auto_lowest_failure () =
+let test_lowest_failure () =
   Pool.with_pool ~domains:4 (fun pool ->
-      Alcotest.check_raises "lowest-indexed failure under adaptive chunks"
-        (Boom 10) (fun () ->
+      Alcotest.check_raises "lowest-indexed failure" (Boom 10) (fun () ->
           ignore
-            (Pool.map_auto ~label:"failing" pool
+            (Pool.map pool
                (fun x -> if x >= 10 then raise (Boom x) else x)
                (List.init 500 Fun.id))))
+
+(* A failure is re-raised only after every item has settled: count
+   executions at the moment the exception reaches the caller. *)
+let test_every_item_settles () =
+  Pool.with_pool ~domains:4 (fun pool ->
+      let ran = Atomic.make 0 in
+      let f i =
+        Atomic.incr ran;
+        ignore (spin i);
+        if i = 3 then raise (Boom i) else i
+      in
+      match Pool.map pool f (List.init 300 Fun.id) with
+      | _ -> Alcotest.fail "item 3 raised, but map returned"
+      | exception Boom k ->
+        let settled = Atomic.get ran in
+        Alcotest.(check int) "item 3's exception" 3 k;
+        Alcotest.(check int) "all 300 items ran before the re-raise" 300 settled)
 
 let test_pool_stats () =
   let pool = Pool.create ~domains:4 () in
@@ -361,11 +167,11 @@ let test_pool_stats () =
   ignore (Pool.map pool (fun i -> ignore (spin i)) (List.init n Fun.id));
   let st = Pool.stats pool in
   Alcotest.(check int)
-    "foreign submission goes through the injector" n
+    "items from a foreign caller count as injected" n
     st.Pool.tasks_injected;
-  Alcotest.(check int) "every task executed exactly once" n
+  Alcotest.(check int) "every item executed exactly once" n
     st.Pool.tasks_executed;
-  Alcotest.(check bool) "steal counter sane" true (st.Pool.steals >= 0);
+  Alcotest.(check int) "items are claimed, never stolen" 0 st.Pool.steals;
   Pool.shutdown pool;
   let st1 = Pool.stats pool in
   Alcotest.(check int) "no spawned workers after shutdown" 0
@@ -475,80 +281,19 @@ let test_override_restored () =
     (Calibrate.recommended ())
 
 (* ------------------------------------------------------------------ *)
-(* Cost model                                                           *)
-
-let test_cost_model_bounds () =
-  let m = Cost_model.create () in
-  Alcotest.(check int)
-    "single item is one chunk" 1
-    (Cost_model.chunk m ~label:"x" ~items:1 ~workers:8);
-  let unknown = Cost_model.chunk m ~label:"x" ~items:10_000 ~workers:4 in
-  Alcotest.(check bool)
-    "unknown label gets a small default batch" true
-    (unknown >= 1 && unknown <= 10_000 / (2 * 4));
-  Cost_model.observe m ~label:"x" ~items:1000 ~seconds:0.00001 (* 10ns/item *);
-  let c = Cost_model.chunk m ~label:"x" ~items:10_000 ~workers:4 in
-  Alcotest.(check bool)
-    "chunk never exceeds items/(2*workers)" true
-    (c >= 1 && c <= 10_000 / (2 * 4))
-
-let test_cost_model_six_orders () =
-  let m = Cost_model.create () in
-  (* E7-scale: ~0.75 s per item; E10-scale: ~1 us per item *)
-  Cost_model.observe m ~label:"e7" ~items:4 ~seconds:3.0;
-  Cost_model.observe m ~label:"e10" ~items:1000 ~seconds:0.001;
-  Alcotest.(check int)
-    "heavy tasks are never batched" 1
-    (Cost_model.chunk m ~label:"e7" ~items:100 ~workers:4);
-  let light = Cost_model.chunk m ~label:"e10" ~items:100_000 ~workers:4 in
-  Alcotest.(check bool)
-    "light tasks are batched by orders of magnitude" true (light >= 100)
-
-let test_cost_model_concurrent_observe () =
-  let m = Cost_model.create () in
-  let per_domain = 1000 in
-  let workers =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Cost_model.observe m
-                ~label:(if d mod 2 = 0 then "even" else "odd")
-                ~items:(1 + (i mod 7))
-                ~seconds:1e-6
-            done))
-  in
-  List.iter Domain.join workers;
-  let samples =
-    List.fold_left (fun a (_, _, s) -> a + s) 0 (Cost_model.snapshot m)
-  in
-  Alcotest.(check int)
-    "no observation lost under contention" (4 * per_domain) samples
-
-(* ------------------------------------------------------------------ *)
 
 let suite =
   [
-    Alcotest.test_case "deque: owner is LIFO" `Quick test_deque_lifo_owner;
-    Alcotest.test_case "deque: thief is FIFO" `Quick test_deque_fifo_thief;
-    Alcotest.test_case "deque: empty behaviour" `Quick test_deque_empty;
-    Alcotest.test_case "deque: growth preserves contents" `Quick
-      test_deque_growth;
-    QCheck_alcotest.to_alcotest prop_deque_multiset;
-    Alcotest.test_case "deque: concurrent multiset (4 thieves)" `Quick
-      test_deque_concurrent_multiset;
-    Alcotest.test_case "deque: last-element owner/thief race" `Quick
-      test_deque_last_element_race;
-    Alcotest.test_case "deque: empty-steal race (4 thieves)" `Quick
-      test_deque_empty_steal_race;
     Alcotest.test_case "pool: 10k-task stress bit-identical" `Quick
       test_stress_10k_bit_identical;
     Alcotest.test_case "pool: steal under shutdown" `Quick
       test_steal_under_shutdown;
-    Alcotest.test_case "pool: nested map_auto" `Quick test_nested_map_auto;
-    Alcotest.test_case "pool: map_auto == map across chunk drift" `Quick
-      test_map_auto_matches_map;
-    Alcotest.test_case "pool: map_auto lowest failure wins" `Quick
-      test_map_auto_lowest_failure;
+    Alcotest.test_case "pool: nested map" `Quick test_nested_map;
+    Alcotest.test_case "pool: two callers, nested" `Quick
+      test_two_callers_nested;
+    Alcotest.test_case "pool: lowest failure wins" `Quick test_lowest_failure;
+    Alcotest.test_case "pool: every item settles" `Quick
+      test_every_item_settles;
     Alcotest.test_case "pool: scheduling stats" `Quick test_pool_stats;
     Alcotest.test_case "calibrate: force_cores decisions" `Quick
       test_calibrate_force_cores;
@@ -560,9 +305,4 @@ let suite =
       test_create_opt_and_spawn_failure_paths;
     Alcotest.test_case "calibrate: override restored on exception" `Quick
       test_override_restored;
-    Alcotest.test_case "cost model: chunk bounds" `Quick test_cost_model_bounds;
-    Alcotest.test_case "cost model: six orders of magnitude" `Quick
-      test_cost_model_six_orders;
-    Alcotest.test_case "cost model: concurrent observe" `Quick
-      test_cost_model_concurrent_observe;
   ]

@@ -54,7 +54,7 @@ let test_sequential_matches_parallel () =
   in
   let par =
     Supervisor.with_supervisor ~domains:4 (fun sup ->
-        Supervisor.run sup ~chunk:4 ~key:Fun.id sq xs)
+        Supervisor.run sup ~key:Fun.id sq xs)
   in
   Alcotest.check results_testable "sequential == parallel" seq par
 
@@ -619,7 +619,6 @@ let squares =
             if String.starts_with ~prefix:"sq\t" s then Ok s else Error "not a square");
       };
     batch = 2;
-    label = "test-squares";
   }
 
 let squares_payload =
