@@ -809,47 +809,52 @@ let e20_btb ?(seeds = default_seeds) ?pool () =
 
 (* ------------------------------------------------------------------ *)
 
-(* The suite as thunks, so [all] and [all_par] share one definition.
-   [pool], when given, additionally fans each capacity table's trial grid
-   and E15's exhaustive sweep over the same domains. *)
-let suite ~seeds ?pool () =
+(* Every experiment in E-number order, keyed by its lowercase id: [ids],
+   [by_id] and the suite behind [all], [all_par] and [run_supervised]
+   are all read off this one list.  [?seeds] is passed through as given,
+   so each experiment keeps its own default and one with no seed
+   parameter ignores it; [pool], when given, additionally fans each
+   capacity table's trial grid and E15's exhaustive sweep over the same
+   domains. *)
+type run = ?seeds:int list -> ?pool:Tpro_engine.Pool.t -> unit -> Table.t
+
+let experiments : (string * run) list =
   [
-    (fun () -> e1_downgrader ~seeds ?pool ());
-    (fun () -> e2_l1_prime_probe ~seeds ?pool ());
-    (fun () -> e3_llc_prime_probe ~seeds ?pool ());
-    (fun () -> e4_switch_latency ~seeds ());
-    (fun () -> e5_kernel_text ~seeds ?pool ());
-    (fun () -> e6_interrupts ~seeds ?pool ());
-    (fun () -> e7_proofs ());
-    (fun () -> e8_tlb ~seeds ?pool ());
-    (fun () -> e9_interconnect ~seeds ?pool ());
-    (fun () -> e10_colours ());
-    (fun () -> e11_padding_strategies ~seeds ());
-    (fun () -> e12_smt ~seeds ?pool ());
-    (fun () -> e13_flush_reload ~seeds ?pool ());
-    (fun () -> e14_bandwidth ());
-    (fun () -> e15_exhaustive ?pool ());
-    (fun () -> e16_mutual ());
-    (fun () -> e17_branch_predictor ~seeds ?pool ());
-    (fun () -> e18_overhead ());
-    (fun () -> e19_side_channel ~seeds ?pool ());
-    (fun () -> e20_btb ~seeds ?pool ());
+    ("e1", fun ?seeds ?pool () -> e1_downgrader ?seeds ?pool ());
+    ("e2", fun ?seeds ?pool () -> e2_l1_prime_probe ?seeds ?pool ());
+    ("e3", fun ?seeds ?pool () -> e3_llc_prime_probe ?seeds ?pool ());
+    ("e4", fun ?seeds ?pool:_ () -> e4_switch_latency ?seeds ());
+    ("e5", fun ?seeds ?pool () -> e5_kernel_text ?seeds ?pool ());
+    ("e6", fun ?seeds ?pool () -> e6_interrupts ?seeds ?pool ());
+    ("e7", fun ?seeds:_ ?pool:_ () -> e7_proofs ());
+    ("e8", fun ?seeds ?pool () -> e8_tlb ?seeds ?pool ());
+    ("e9", fun ?seeds ?pool () -> e9_interconnect ?seeds ?pool ());
+    ("e10", fun ?seeds:_ ?pool:_ () -> e10_colours ());
+    ("e11", fun ?seeds ?pool:_ () -> e11_padding_strategies ?seeds ());
+    ("e12", fun ?seeds ?pool () -> e12_smt ?seeds ?pool ());
+    ("e13", fun ?seeds ?pool () -> e13_flush_reload ?seeds ?pool ());
+    ("e14", fun ?seeds ?pool:_ () -> e14_bandwidth ?seeds ());
+    ("e15", fun ?seeds ?pool () -> e15_exhaustive ?seeds ?pool ());
+    ("e16", fun ?seeds ?pool:_ () -> e16_mutual ?seeds ());
+    ("e17", fun ?seeds ?pool () -> e17_branch_predictor ?seeds ?pool ());
+    ("e18", fun ?seeds ?pool:_ () -> e18_overhead ?seeds ());
+    ("e19", fun ?seeds ?pool () -> e19_side_channel ?seeds ?pool ());
+    ("e20", fun ?seeds ?pool () -> e20_btb ?seeds ?pool ());
   ]
 
-let all ?(seeds = default_seeds) () =
-  List.map (fun f -> f ()) (suite ~seeds ())
+let ids = List.map fst experiments
 
-let all_par ?(seeds = default_seeds) ?pool ?domains () =
-  let run p =
-    Tpro_engine.Pool.map p (fun f -> f ()) (suite ~seeds ~pool:p ())
+let by_id id = List.assoc_opt (String.lowercase_ascii id) experiments
+
+let all ?seeds () = List.map (fun (_, (run : run)) -> run ?seeds ()) experiments
+
+let all_par ?seeds ?pool ?domains () =
+  let on p =
+    Tpro_engine.Pool.map p (fun (_, (run : run)) -> run ?seeds ~pool:p ()) experiments
   in
   match pool with
-  | Some p -> run p
-  | None -> Tpro_engine.Pool.with_pool ?domains run
-
-let ids =
-  [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11";
-    "e12"; "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]
+  | Some p -> on p
+  | None -> Tpro_engine.Pool.with_pool ?domains on
 
 (* ------------------------------------------------------------------ *)
 (* Supervised sweep with checkpoint/resume: a {!Tpro_engine.Campaign}
@@ -868,29 +873,31 @@ type sweep = {
   sweep_notes : string list;
 }
 
-let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint ?resume ?only () =
+let run_supervised ?seeds ~sup ?checkpoint ?resume ?only () =
   let selected =
-    let all = List.combine ids (suite ~seeds ?pool:(Supervisor.pool sup) ()) in
     match only with
-    | None -> all
-    | Some keep ->
-      List.filter (fun (id, _) -> List.mem (String.lowercase_ascii id) keep) all
+    | None -> experiments
+    | Some keep -> List.filter (fun (id, _) -> List.mem id keep) experiments
   in
-  let thunks = Array.of_list (List.map snd selected) in
+  let pool = Supervisor.pool sup in
+  let runs = Array.of_list (List.map snd selected) in
   let o =
     Campaign.run ~sup ?checkpoint ?resume
       {
         Campaign.kind = "exp";
         params =
           [
-            ("seeds", String.concat "," (List.map string_of_int seeds));
+            ( "seeds",
+              match seeds with
+              | Some l -> String.concat "," (List.map string_of_int l)
+              | None -> "default" );
             ("tables", String.concat "," (List.map fst selected));
           ];
-        keys = List.init (Array.length thunks) Fun.id;
+        keys = List.init (Array.length runs) Fun.id;
         execute =
           (fun ~fuel i ->
             Supervisor.Fuel.burn fuel;
-            thunks.(i) ());
+            runs.(i) ?seeds ?pool ());
         codec = { Campaign.encode = Table.serialise; decode = Table.deserialise };
         batch = 1;
       }
@@ -900,27 +907,3 @@ let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint ?resume ?only () =
     sweep_resumed = o.Campaign.resumed;
     sweep_notes = o.Campaign.notes;
   }
-
-let by_id id =
-  match String.lowercase_ascii id with
-  | "e1" -> Some (fun ?seeds ?pool () -> e1_downgrader ?seeds ?pool ())
-  | "e2" -> Some (fun ?seeds ?pool () -> e2_l1_prime_probe ?seeds ?pool ())
-  | "e3" -> Some (fun ?seeds ?pool () -> e3_llc_prime_probe ?seeds ?pool ())
-  | "e4" -> Some (fun ?seeds ?pool:_ () -> e4_switch_latency ?seeds ())
-  | "e5" -> Some (fun ?seeds ?pool () -> e5_kernel_text ?seeds ?pool ())
-  | "e6" -> Some (fun ?seeds ?pool () -> e6_interrupts ?seeds ?pool ())
-  | "e7" -> Some (fun ?seeds:_ ?pool:_ () -> e7_proofs ())
-  | "e8" -> Some (fun ?seeds ?pool () -> e8_tlb ?seeds ?pool ())
-  | "e9" -> Some (fun ?seeds ?pool () -> e9_interconnect ?seeds ?pool ())
-  | "e10" -> Some (fun ?seeds:_ ?pool:_ () -> e10_colours ())
-  | "e11" -> Some (fun ?seeds ?pool:_ () -> e11_padding_strategies ?seeds ())
-  | "e12" -> Some (fun ?seeds ?pool () -> e12_smt ?seeds ?pool ())
-  | "e13" -> Some (fun ?seeds ?pool () -> e13_flush_reload ?seeds ?pool ())
-  | "e14" -> Some (fun ?seeds ?pool:_ () -> e14_bandwidth ?seeds ())
-  | "e15" -> Some (fun ?seeds ?pool () -> e15_exhaustive ?seeds ?pool ())
-  | "e16" -> Some (fun ?seeds ?pool:_ () -> e16_mutual ?seeds ())
-  | "e17" -> Some (fun ?seeds ?pool () -> e17_branch_predictor ?seeds ?pool ())
-  | "e18" -> Some (fun ?seeds ?pool:_ () -> e18_overhead ?seeds ())
-  | "e19" -> Some (fun ?seeds ?pool () -> e19_side_channel ?seeds ?pool ())
-  | "e20" -> Some (fun ?seeds ?pool () -> e20_btb ?seeds ?pool ())
-  | _ -> None

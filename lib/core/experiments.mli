@@ -99,7 +99,10 @@ val e20_btb : ?seeds:int list -> ?pool:Tpro_engine.Pool.t -> unit -> Table.t
     the kernel flushes whatever the registry lists as flushable. *)
 
 val all : ?seeds:int list -> unit -> Table.t list
-(** The whole suite, sequentially, in E-number order. *)
+(** The whole suite, sequentially, in E-number order.  Every entry point
+    here passes [?seeds] through as given, like {!by_id}: each
+    experiment keeps its own default (E18's is [0,1,2]), and E7, E10 and
+    E14-E16 ignore it. *)
 
 val all_par :
   ?seeds:int list ->
@@ -149,4 +152,5 @@ val run_supervised :
 val by_id :
   string ->
   (?seeds:int list -> ?pool:Tpro_engine.Pool.t -> unit -> Table.t) option
-(** Experiments that have no trial grid ignore [?pool]. *)
+(** The experiment behind an id of {!ids} (case-insensitive).
+    Experiments that have no trial grid ignore [?pool]. *)

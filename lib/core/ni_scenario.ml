@@ -168,8 +168,6 @@ let build_with ~with_btb ~cfg ~seed ~secret =
 
 let build ~cfg ~seed ~secret = build_with ~with_btb:false ~cfg ~seed ~secret
 
-let builder = build
-
 (* Short observer for the exhaustive checker: one phase is enough, the
    point is to cover *every* Hi program, not every Lo behaviour. *)
 let small_slice = 10_000

@@ -100,9 +100,6 @@ val build : cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
 val build_with :
   with_btb:bool -> cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
 
-val builder : cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
-(** Same as {!build}; the labelled shape [Proofs.all] expects. *)
-
 val build_with_program :
   cfg:Kernel.config -> seed:int -> hi_prog:Program.t -> Nonint.run
 (** Compact variant for the exhaustive checker: Hi runs exactly

@@ -14,9 +14,12 @@ val check : Scenario.t -> verdict
     trial (including {!Kernel.Uncovered_flushable}) are converted into
     [Fail] — a crash on a generated scenario is a finding. *)
 
-val check_nonint : Scenario.t -> verdict
 val check_legacy : Scenario.t -> verdict
-val check_capacity : Scenario.t -> verdict
+(** The Legacy oracle alone: a random trace on core 0, then every cached
+    digest of core 0 and the shared state is compared with its
+    from-scratch fold ({!Resource.audit}), before and after a core-local
+    flush whose report coverage, cost and resulting state are checked
+    too.  Exceptions propagate; {!check} converts them. *)
 
 val check_topology : Topology.t -> verdict
 (** The pairwise N-domain oracle: a deep unwinding sweep on the
@@ -37,8 +40,3 @@ val lo_llc_digest : Machine.t -> Domain.t -> int64
 (** Digest of exactly the LLC sets whose colour belongs to the given
     domain — the partition-confinement projection the noninterference
     oracle compares across secrets. *)
-
-val legacy_digest_core : Machine.t -> core:int -> int64
-val legacy_digest_shared : Machine.t -> int64
-val legacy_flush_cost : Machine.t -> core:int -> int
-(** Straight-line (pre-registry) reimplementations, BTB-aware. *)

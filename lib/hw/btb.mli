@@ -36,6 +36,6 @@ val digest : t -> int64
 
 val digest_fold : t -> int64
 (** [digest] recomputed from scratch, bypassing the memo — ground truth
-    for the debug re-fold assertion. *)
+    for {!Resource.audit}. *)
 
 val pp : Format.formatter -> t -> unit

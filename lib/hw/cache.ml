@@ -397,10 +397,10 @@ let digest_colours t ~page_bits ~colours ~seed =
   done;
   !acc
 
-(* From-scratch re-folds, bypassing every cache: the ground truth the
-   debug mode (Resource.set_digest_debug) asserts the memoised digests
-   against.  Same arithmetic by construction — both paths go through
-   [compute_set_digest] / Rng.chain. *)
+(* From-scratch re-folds, bypassing every cache: the ground truth
+   Resource.audit and the differential tests compare the memoised
+   digests against.  Same arithmetic by construction — both paths go
+   through [compute_set_digest] / Rng.chain. *)
 let digest_set_fold t set =
   compute_set_digest ~ways:t.geometry.ways ~tags:t.tags ~meta:t.meta set
 

@@ -134,12 +134,11 @@ val digest_colours :
 
 val digest_set_fold : t -> int -> int64
 (** [digest_set] recomputed from scratch, bypassing the memo — ground
-    truth for the debug re-fold assertion (see
-    {!Resource.set_digest_debug}). *)
+    truth for the per-set differential tests. *)
 
 val digest_fold : t -> int64
 (** [digest] recomputed from scratch as the historical O(sets x ways)
-    fold, bypassing every cache.  Used by the debug re-fold assertion and
-    by benchmarks as the "before" arm of incremental-vs-fold pairs. *)
+    fold, bypassing every cache.  Used by {!Resource.audit} and by
+    benchmarks as the "before" arm of incremental-vs-fold pairs. *)
 
 val pp : Format.formatter -> t -> unit

@@ -200,7 +200,7 @@ val digest_core : t -> core:int -> int64
 
 val digest_shared_fold : t -> int64
 (** {!digest_shared} with every resource re-folded from scratch —
-    differential ground truth (see {!Resource.set_digest_debug}). *)
+    differential ground truth (see {!Resource.audit}). *)
 
 val digest_core_fold : t -> core:int -> int64
 (** {!digest_core} with every resource re-folded from scratch. *)

@@ -40,25 +40,6 @@ end
 
 type t = (module S)
 
-exception Digest_divergence of { resource : string; cached : int64; fold : int64 }
-
-(* Debug re-fold mode: while enabled (a nestable counter, so concurrent
-   fuzz trials can each hold it), every [digest] also recomputes the
-   from-scratch fold and raises if the incrementally-maintained value
-   diverged — the enforcement of the "a digest is a pure function of
-   state" invariant now that digests are cached. *)
-let digest_debug = Atomic.make 0
-
-let set_digest_debug = function
-  | true -> Atomic.incr digest_debug
-  | false -> Atomic.decr digest_debug
-
-let digest_debug_enabled () = Atomic.get digest_debug > 0
-
-let with_digest_debug f =
-  set_digest_debug true;
-  Fun.protect ~finally:(fun () -> set_digest_debug false) f
-
 let name (module R : S) = R.name
 let classification (module R : S) = R.classification
 let kind (module R : S) = R.kind
@@ -89,19 +70,20 @@ let component_id ~name = function
 
 let lemma_component r = component_id ~name:(name r) (obligation r)
 
-let digest (module R : S) =
-  let d = R.digest () in
-  if Atomic.get digest_debug > 0 then begin
-    let f = R.digest_fold () in
-    if d <> f then
-      raise (Digest_divergence { resource = R.name; cached = d; fold = f })
-  end;
-  d
-
+let digest (module R : S) = R.digest ()
 let digest_fold (module R : S) = R.digest_fold ()
 let flush (module R : S) = R.flush ()
 
 let flushable r = classification r = Flushable
+
+type divergence = { resource : string; cached : int64; fold : int64 }
+
+(* The "a digest is a pure function of state" invariant, checked on
+   demand: a cached digest that differs from its from-scratch fold means
+   a missed cache invalidation. *)
+let audit (module R : S) =
+  let cached = R.digest () and fold = R.digest_fold () in
+  if cached = fold then None else Some { resource = R.name; cached; fold }
 
 (* Canonical defence text per class, matching the paper's Sect. 4
    mechanisms; adapters may override. *)
@@ -247,31 +229,10 @@ let digest_registry groups = rfold_right (List.map digest_group groups)
 
 (* From-scratch mirrors of the registry folds: same shape, but every
    resource re-folds its state instead of reading the memoised value.
-   The differential tests and the legacy-equivalence fuzz oracle compare
-   these against the incremental path. *)
+   The differential tests compare these against the incremental path. *)
 let digest_group_fold g = rfold_right (List.map digest_fold g)
 
 let digest_registry_fold groups = rfold_right (List.map digest_group_fold groups)
-
-let flush_group g =
-  List.fold_left
-    (fun acc r ->
-      let rep = flush r in
-      {
-        dirty_writebacks = acc.dirty_writebacks + rep.dirty_writebacks;
-        extra_cycles = acc.extra_cycles + rep.extra_cycles;
-      })
-    no_flush g
-
-let flush_registry groups =
-  List.fold_left
-    (fun acc g ->
-      let rep = flush_group g in
-      {
-        dirty_writebacks = acc.dirty_writebacks + rep.dirty_writebacks;
-        extra_cycles = acc.extra_cycles + rep.extra_cycles;
-      })
-    no_flush groups
 
 let pp_classification ppf = function
   | Flushable -> Format.pp_print_string ppf "flushable"

@@ -103,7 +103,7 @@ module type S = sig
 
   val digest_fold : unit -> int64
   (** The same digest recomputed from scratch (no memoisation) — ground
-      truth for the debug re-fold assertion. *)
+      truth for {!audit}. *)
 
   val lo_project : view -> int64
   (** Digest of the slice of this resource's state the observing (Lo)
@@ -142,9 +142,7 @@ val lemma_component : t -> string option
 (** [component_id ~name:(name r) (obligation r)]. *)
 
 val digest : t -> int64
-(** Reads the resource's (possibly cached) digest.  With the debug mode
-    enabled ({!set_digest_debug}), also recomputes the from-scratch fold
-    and raises {!Digest_divergence} if the two disagree. *)
+(** Reads the resource's (possibly cached) digest. *)
 
 val digest_fold : t -> int64
 (** The from-scratch re-fold, bypassing any incremental cache. *)
@@ -152,20 +150,14 @@ val digest_fold : t -> int64
 val flush : t -> flush_report
 val flushable : t -> bool
 
-exception Digest_divergence of { resource : string; cached : int64; fold : int64 }
-(** Raised by {!digest} in debug mode when an incrementally-maintained
-    digest diverges from its from-scratch re-fold — i.e. the "digest is
-    a pure function of state" invariant was broken by a missed cache
-    invalidation. *)
+type divergence = { resource : string; cached : int64; fold : int64 }
 
-val set_digest_debug : bool -> unit
-(** Enable/disable the debug re-fold assertion globally.  Nestable
-    (a counter, not a flag): concurrent holders compose. *)
-
-val digest_debug_enabled : unit -> bool
-
-val with_digest_debug : (unit -> 'a) -> 'a
-(** Run [f] with the debug re-fold assertion enabled. *)
+val audit : t -> divergence option
+(** [Some] when the resource's cached {!digest} differs from its
+    {!digest_fold}: an incrementally-maintained digest missed a cache
+    invalidation, breaking the "digest is a pure function of state"
+    invariant.  Like {!digest} it may refresh the memo, but it changes
+    no state a digest covers. *)
 
 val default_defence : classification -> string
 
@@ -231,11 +223,6 @@ val digest_group_fold : t list -> int64
 val digest_registry_fold : t list list -> int64
 (** The same folds with every resource re-folded from scratch — the
     differential ground truth for {!digest_group}/{!digest_registry}. *)
-
-val flush_group : t list -> flush_report
-(** Flush every resource in order; reports are summed. *)
-
-val flush_registry : t list list -> flush_report
 
 val pp_classification : Format.formatter -> classification -> unit
 val pp : Format.formatter -> t -> unit

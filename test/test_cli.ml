@@ -112,6 +112,7 @@ let test_checkpoint_resume_identical () =
       ( [ "prove"; "--smoke"; "--seeds"; "0,1"; "--acknowledge"; "memory interconnect" ],
         [] );
       ([ "exp"; "e6"; "--seeds"; "0" ], []);
+      ([ "exp"; "e18"; "--seeds"; "5" ], []);
     ]
 
 (* `tpro prove` exit semantics: 0 when every lemma is proved and scope

@@ -3,7 +3,8 @@
    trace step, on every machine preset, and a core-local flush must
    return every resource to the empty-state digest.  This is the test
    harness for the "a digest is a pure function of state" invariant now
-   that digests are cached (see Resource.set_digest_debug). *)
+   that digests are cached; [Resource.audit] checks it per resource, and
+   the Legacy fuzz oracle calls that audit on its own traces. *)
 
 open Tpro_hw
 
@@ -163,9 +164,10 @@ let test_dirty_counter () =
   Alcotest.(check int64) "clean re-flush leaves digest unchanged" d0
     (Cache.digest c)
 
-(* The debug re-fold mode actually detects divergence: a resource whose
-   cached digest lies must raise. *)
-let test_debug_mode_detects () =
+(* The audit actually detects divergence: a resource whose cached digest
+   lies is reported with both values, while [digest] still serves the
+   cached one and an honest resource audits clean. *)
+let test_audit_detects () =
   let lying =
     Resource.make ~name:"liar" ~classification:Resource.Flushable
       ~digest:(fun () -> 1L)
@@ -173,15 +175,22 @@ let test_debug_mode_detects () =
       ~flush:(fun () -> Resource.no_flush)
       ()
   in
-  Alcotest.(check int64)
-    "outside debug mode the cached value is served" 1L (Resource.digest lying);
-  Alcotest.check_raises "debug mode raises Digest_divergence"
-    (Resource.Digest_divergence { resource = "liar"; cached = 1L; fold = 2L })
-    (fun () ->
-      Resource.with_digest_debug (fun () -> ignore (Resource.digest lying)))
+  Alcotest.(check int64) "digest serves the cached value" 1L
+    (Resource.digest lying);
+  Alcotest.(check bool) "audit reports the liar with both digests" true
+    (Resource.audit lying
+    = Some { Resource.resource = "liar"; cached = 1L; fold = 2L });
+  let honest =
+    Resource.make ~name:"honest" ~classification:Resource.Flushable
+      ~digest:(fun () -> 3L)
+      ~flush:(fun () -> Resource.no_flush)
+      ()
+  in
+  Alcotest.(check bool) "an honest resource audits clean" true
+    (Resource.audit honest = None)
 
-(* QCheck: arbitrary traces under the debug re-fold assertion — every
-   registry digest read recomputes its fold and raises on divergence. *)
+(* QCheck: arbitrary traces, every resource of core 0 and the shared
+   state audited after every step. *)
 let prop_random_traces =
   QCheck.Test.make ~name:"random traces keep incremental == fold" ~count:30
     QCheck.(
@@ -191,15 +200,20 @@ let prop_random_traces =
     (fun (p, seed, steps) ->
       let _, cfg = List.nth presets p in
       let m = Machine.create cfg in
-      Resource.with_digest_debug (fun () ->
-          let rng = Rng.create ((seed * 2) + 1) in
-          for _ = 1 to steps do
-            step m ~core:0 rng;
-            ignore (Machine.digest_core m ~core:0);
-            ignore (Machine.digest_shared m)
-          done;
-          Machine.digest_core m ~core:0 = Machine.digest_core_fold m ~core:0
-          && Machine.digest_shared m = Machine.digest_shared_fold m))
+      let audited () =
+        List.for_all
+          (fun r -> Resource.audit r = None)
+          (Machine.core_resources m ~core:0 @ Machine.shared_resources m)
+      in
+      let rng = Rng.create ((seed * 2) + 1) in
+      let ok = ref (audited ()) in
+      for _ = 1 to steps do
+        step m ~core:0 rng;
+        ok := !ok && audited ()
+      done;
+      !ok
+      && Machine.digest_core m ~core:0 = Machine.digest_core_fold m ~core:0
+      && Machine.digest_shared m = Machine.digest_shared_fold m)
 
 (* QCheck: conflict traces aimed at one cache set per colour, forcing
    evictions and dirty write-backs — the paths where a stale per-set
@@ -336,8 +350,8 @@ let suite =
   @ [
       Alcotest.test_case "O(1) dirty counter agrees with flush" `Quick
         test_dirty_counter;
-      Alcotest.test_case "debug re-fold detects a lying digest" `Quick
-        test_debug_mode_detects;
+      Alcotest.test_case "audit detects a lying digest" `Quick
+        test_audit_detects;
       QCheck_alcotest.to_alcotest prop_random_traces;
       QCheck_alcotest.to_alcotest prop_eviction_writeback_colours;
       QCheck_alcotest.to_alcotest prop_digest_colours_differential;

@@ -167,6 +167,26 @@ let test_kill_skip_flush () =
         "lemma flush:l1d0 refuted (secrets 0 vs 1): Lo's view component \
          flush:l1d0 differs at Lo step 28" )
 
+(* The Legacy oracle's two skip-flush outcomes at seed 42, byte for byte:
+   a silently skipped flush leaves private state a fresh machine lacks,
+   and leaves dirty lines unbilled in the flush cost. *)
+let test_legacy_skip_flush_pinned () =
+  List.iter
+    (fun (idx, message) ->
+      let s = Scenario.generate ~seed:42 ~mutant:Scenario.Skip_flush idx in
+      Alcotest.(check bool)
+        (Printf.sprintf "index %d draws the Legacy oracle" idx)
+        true
+        (s.Scenario.oracle = Scenario.Legacy);
+      match Oracle.check s with
+      | Oracle.Fail m ->
+        Alcotest.(check string) (Printf.sprintf "index %d verdict" idx) message m
+      | Oracle.Pass -> Alcotest.failf "index %d: skip-flush survived" idx)
+    [
+      (1, "post-flush private state differs from a fresh machine");
+      (3, "flush cost 201 differs from straight-line cost 363");
+    ]
+
 let test_kill_drop_padding () = check_mutant_killed Scenario.Drop_padding
 let test_kill_miscolour () = check_mutant_killed Scenario.Miscolour
 
@@ -563,4 +583,6 @@ let suite =
       test_topo_pool_matches_sequential;
     Alcotest.test_case "2-domain topology is the legacy instance" `Quick
       test_two_domain_instance;
+    Alcotest.test_case "legacy oracle's skip-flush verdicts pinned" `Quick
+      test_legacy_skip_flush_pinned;
   ]

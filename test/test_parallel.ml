@@ -239,32 +239,39 @@ let render_failure_list fs =
 
 let render_campaign c = render_failure_list c.Tpro_fuzz.Driver.failures
 
-let campaign_at ?checkpoint ?resume ~domains ~seed ~trials () =
+let campaign_at ?(mutant = Tpro_fuzz.Scenario.Drop_padding) ?checkpoint ?resume
+    ~domains ~seed ~trials () =
   Supervisor.with_supervisor ~domains (fun sup ->
-      Tpro_fuzz.Driver.campaign ~sup ~mutant:Tpro_fuzz.Scenario.Drop_padding
-        ?checkpoint ?resume ~checkpoint_every:2 ~seed ~trials ())
+      Tpro_fuzz.Driver.campaign ~sup ~mutant ?checkpoint ?resume
+        ~checkpoint_every:2 ~seed ~trials ())
 
+(* Drop-padding draws only Nonint trials; skip-flush sends every odd
+   trial to the Legacy oracle, so both oracles' verdicts must be
+   independent of the pool's width. *)
 let test_campaign_identical_across_j () =
   List.iter
-    (fun seed ->
-      (* pool-less Driver.run is the sequential reference *)
-      let reference =
-        Tpro_fuzz.Driver.run ~mutant:Tpro_fuzz.Scenario.Drop_padding ~seed
-          ~trials:6 ()
-      in
-      let seq = render_failure_list reference in
-      let j1 = campaign_at ~domains:1 ~seed ~trials:6 () in
-      let j4 = campaign_at ~domains:4 ~seed ~trials:6 () in
-      if seed = 42 then
-        Alcotest.(check bool) "the mutant produces violations" true
-          (j4.Tpro_fuzz.Driver.failures <> []);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: -j 1 == sequential" seed)
-        seq (render_campaign j1);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d: -j 4 == sequential" seed)
-        seq (render_campaign j4))
-    [ 42; 7 ]
+    (fun mutant ->
+      let name = Tpro_fuzz.Scenario.mutant_to_string mutant in
+      List.iter
+        (fun seed ->
+          (* pool-less Driver.run is the sequential reference *)
+          let reference = Tpro_fuzz.Driver.run ~mutant ~seed ~trials:6 () in
+          let seq = render_failure_list reference in
+          let j1 = campaign_at ~mutant ~domains:1 ~seed ~trials:6 () in
+          let j4 = campaign_at ~mutant ~domains:4 ~seed ~trials:6 () in
+          if seed = 42 then
+            Alcotest.(check bool)
+              (name ^ ": the mutant produces violations")
+              true
+              (j4.Tpro_fuzz.Driver.failures <> []);
+          Alcotest.(check string)
+            (Printf.sprintf "%s, seed %d: -j 1 == sequential" name seed)
+            seq (render_campaign j1);
+          Alcotest.(check string)
+            (Printf.sprintf "%s, seed %d: -j 4 == sequential" name seed)
+            seq (render_campaign j4))
+        [ 42; 7 ])
+    [ Tpro_fuzz.Scenario.Drop_padding; Tpro_fuzz.Scenario.Skip_flush ]
 
 let test_campaign_resume_across_j () =
   (* checkpoint written under -j 1, resumed under -j 4: the fan-out of

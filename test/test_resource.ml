@@ -3,26 +3,34 @@ open Tpro_secmodel
 
 (* ----------------------------------------------------------------- *)
 (* Legacy reference implementations: the per-field digest and flush
-   code exactly as it stood before the resource registry.  The registry
-   folds must reproduce these bit-for-bit on machines without a BTB.    *)
+   code exactly as it stood before the resource registry, extended with
+   the BTB chain.  They re-fold every structure from scratch, so the
+   registry folds must reproduce them bit-for-bit through the digest
+   caches.  This is the only straight-line copy of the registry's shape. *)
 
 let legacy_digest_core m ~core =
   let open Rng in
   let l2d =
-    match Machine.l2 m ~core with Some l2 -> Cache.digest l2 | None -> 17L
+    match Machine.l2 m ~core with Some l2 -> Cache.digest_fold l2 | None -> 17L
+  in
+  let pf = Prefetch.digest_fold (Machine.prefetch m ~core) in
+  let spec_tail =
+    match Machine.btb m ~core with
+    | Some b -> combine pf (Btb.digest_fold b)
+    | None -> pf
   in
   combine
     (combine
-       (Cache.digest (Machine.l1i m ~core))
-       (combine (Cache.digest (Machine.l1d m ~core)) l2d))
+       (Cache.digest_fold (Machine.l1i m ~core))
+       (combine (Cache.digest_fold (Machine.l1d m ~core)) l2d))
     (combine
-       (Tlb.digest (Machine.tlb m ~core))
-       (combine
-          (Bpred.digest (Machine.bpred m ~core))
-          (Prefetch.digest (Machine.prefetch m ~core))))
+       (Tlb.digest_fold (Machine.tlb m ~core))
+       (combine (Bpred.digest_fold (Machine.bpred m ~core)) spec_tail))
 
 let legacy_digest_shared m =
-  Rng.combine (Cache.digest (Machine.llc m)) (Interconnect.digest (Machine.bus m))
+  Rng.combine
+    (Cache.digest_fold (Machine.llc m))
+    (Interconnect.digest_fold (Machine.bus m))
 
 let legacy_flush_cost m ~core =
   let l = Machine.lat m in
@@ -56,6 +64,8 @@ let small_llc =
     n_frames = 512;
   }
 
+let btb_cfg = { Machine.default_config with Machine.btb_entries = Some 64 }
+
 let presets =
   [
     ("default", Machine.default_config);
@@ -64,6 +74,7 @@ let presets =
     ("smt", smt2);
     ("pseudo-random", prand);
     ("small-llc", small_llc);
+    ("btb", btb_cfg);
   ]
 
 (* Drive a core through a random mix of physical touches, fetches and
@@ -223,8 +234,6 @@ let test_neither_scope_audit () =
 (* ----------------------------------------------------------------- *)
 (* BTB: the resource added end-to-end through the registry alone       *)
 
-let btb_cfg = { Machine.default_config with Machine.btb_entries = Some 64 }
-
 let test_btb_end_to_end () =
   let m = Machine.create btb_cfg in
   let plain = Machine.create Machine.default_config in
@@ -279,8 +288,11 @@ let test_btb_default_absent () =
 
 let flush_presets =
   presets
-  @ List.map
-      (fun (n, c) -> (n ^ "+btb", { c with Machine.btb_entries = Some 64 }))
+  @ List.filter_map
+      (fun (n, c) ->
+        if c.Machine.btb_entries = None then
+          Some (n ^ "+btb", { c with Machine.btb_entries = Some 64 })
+        else None)
       presets
 
 let prop_flush_covers_flushables =
