@@ -500,15 +500,15 @@ let capacity_test =
   Test.make ~name:"analysis:blahut-arimoto"
     (Staged.stage (fun () -> ignore (Tpro_channel.Capacity.of_samples samples)))
 
-let two_run_test =
+let nonint_pair_test =
+  let build ~secret =
+    Time_protection.Ni_scenario.build ~cfg:Time_protection.Presets.full
+      ~seed:0 ~secret
+  in
   Test.make ~name:"proofs:two-run-NI"
     (Staged.stage (fun () ->
-         ignore
-           (Tpro_secmodel.Nonint.two_run
-              ~build:(fun ~secret ->
-                Time_protection.Ni_scenario.build
-                  ~cfg:Time_protection.Presets.full ~seed:0 ~secret)
-              ~secret1:0 ~secret2:1 ())))
+         let open Tpro_secmodel.Nonint in
+         ignore (compare_runs (execute build 0) (execute build 1))))
 
 let micro_tests =
   [
@@ -518,7 +518,7 @@ let micro_tests =
     flush_test;
     kernel_step_test;
     capacity_test;
-    two_run_test;
+    nonint_pair_test;
   ]
 
 (* Runs the suite and returns (name, ns-per-run) rows for the JSON. *)

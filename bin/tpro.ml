@@ -202,6 +202,11 @@ let run_prove preset all seeds secrets smoke jobs acknowledge json checkpoint
       if smoke then [ 0; 1 ] else Time_protection.Ni_scenario.default_secrets
     | l -> l
   in
+  Option.iter
+    (fun m ->
+      Printf.eprintf "tpro prove: --secrets: %s\n" m;
+      exit 124)
+    (Tpro_secmodel.Theorem.secrets_error secrets);
   let checkpoint = checkpoint_path checkpoint resume in
   Supervisor.with_supervisor ~domains:jobs (fun sup ->
       let open Time_protection.Prove in

@@ -51,35 +51,21 @@ let outcome_of_samples scenario samples =
   }
 
 (* The (secret x seed) grid in the canonical order: secrets outer, seeds
-   inner.  Both [measure] and [measure_par] sample in exactly this order,
-   which is what makes their outcomes bit-identical. *)
+   inner.  Both maps return results in grid order, which is what makes a
+   pooled outcome bit-identical to the sequential one. *)
 let trial_grid scenario ~seeds =
   List.concat_map
     (fun secret -> List.map (fun seed -> (secret, seed)) seeds)
     scenario.symbols
 
-let measure ?(seeds = default_seeds) scenario ~cfg () =
+let measure ?(seeds = default_seeds) ?pool scenario ~cfg () =
+  let map =
+    match pool with Some p -> Tpro_engine.Pool.map p | None -> List.map
+  in
   outcome_of_samples scenario
-    (List.map
+    (map
        (fun (secret, seed) -> (secret, run_trial scenario ~cfg ~seed ~secret))
        (trial_grid scenario ~seeds))
-
-let measure_par ?(seeds = default_seeds) ?pool ?domains scenario ~cfg () =
-  let grid = trial_grid scenario ~seeds in
-  let run p =
-    let outputs =
-      Tpro_engine.Pool.map p
-        (fun (secret, seed) -> run_trial scenario ~cfg ~seed ~secret)
-        grid
-    in
-    List.map2 (fun (secret, _) out -> (secret, out)) grid outputs
-  in
-  let samples =
-    match pool with
-    | Some p -> run p
-    | None -> Tpro_engine.Pool.with_pool ?domains run
-  in
-  outcome_of_samples scenario samples
 
 let matrix outcome = Matrix.of_samples outcome.samples
 

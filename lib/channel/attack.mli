@@ -36,24 +36,17 @@ val run_trial_timed :
     consumed (max over cores) — the cost of one channel use. *)
 
 val measure :
-  ?seeds:int list -> scenario -> cfg:Kernel.config -> unit -> outcome
-(** Run every (symbol, seed) pair (default seeds 0..9). *)
-
-val measure_par :
   ?seeds:int list ->
   ?pool:Tpro_engine.Pool.t ->
-  ?domains:int ->
   scenario ->
   cfg:Kernel.config ->
   unit ->
   outcome
-(** Like {!measure}, but fans the (symbol, seed) trial grid out across a
-    domain pool.  Every trial builds its own fresh kernel, so the outcome
-    — samples (in canonical grid order), capacity and distinct-output
-    count — is bit-identical to {!measure} for any pool size.  Pass
-    [?pool] to reuse an existing pool, otherwise a transient pool of
-    [?domains] (default {!Tpro_engine.Pool.recommended}) is created and
-    shut down around the call. *)
+(** Run every (symbol, seed) pair (default seeds 0..9), in order, or —
+    given [pool] — fanned out across the pool's domains.  Every trial
+    builds its own fresh kernel, so the outcome (samples in canonical
+    grid order, capacity, distinct-output count) is bit-identical with
+    and without a pool, whatever its size. *)
 
 val matrix : outcome -> Matrix.t
 

@@ -7,16 +7,8 @@ let default_seeds = List.init 8 (fun i -> i)
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-(* All capacity measurements go through here: with a pool the (secret x
-   seed) trial grid fans out across domains; the outcome is bit-identical
-   either way (see Attack.measure_par). *)
-let measure_with ?pool ~seeds scenario ~cfg () =
-  match pool with
-  | None -> Attack.measure ~seeds scenario ~cfg ()
-  | Some p -> Attack.measure_par ~seeds ~pool:p scenario ~cfg ()
-
 let capacity_row ?pool ~seeds scenario (name, cfg) =
-  let o = measure_with ?pool ~seeds scenario ~cfg () in
+  let o = Attack.measure ~seeds ?pool scenario ~cfg () in
   [
     name;
     Table.cell_float o.Attack.capacity_bits;
@@ -149,18 +141,13 @@ let e4_switch_latency ?(seeds = default_seeds) () =
   let rows =
     List.map
       (fun lines ->
-        let raw =
-          List.map (fun seed ->
-              let d, _, _ = switch_metrics ~pad_on:false ~lines ~seed in
-              d)
+        let unpadded =
+          List.map
+            (fun seed -> switch_metrics ~pad_on:false ~lines ~seed)
             seeds
         in
-        let flushes =
-          List.map (fun seed ->
-              let _, _, f = switch_metrics ~pad_on:false ~lines ~seed in
-              f)
-            seeds
-        in
+        let raw = List.map (fun (d, _, _) -> d) unpadded in
+        let flushes = List.map (fun (_, _, f) -> f) unpadded in
         let slots =
           List.map (fun seed ->
               let _, s, _ = switch_metrics ~pad_on:true ~lines ~seed in
@@ -334,7 +321,7 @@ let e8_tlb ?(seeds = default_seeds) ?pool () =
   let timing =
     List.map
       (fun (name, cfg) ->
-        let o = measure_with ?pool ~seeds (Tlb_channel.scenario ()) ~cfg () in
+        let o = Attack.measure ~seeds ?pool (Tlb_channel.scenario ()) ~cfg () in
         [
           "TLB timing channel under " ^ name;
           Table.cell_float o.Attack.capacity_bits ^ " bits";
@@ -364,7 +351,9 @@ let e8_tlb ?(seeds = default_seeds) ?pool () =
 let e9_interconnect ?(seeds = default_seeds) ?pool () =
   let row (name, bus, cfg) =
     let o =
-      measure_with ?pool ~seeds (Interconnect_channel.scenario ~bus ()) ~cfg ()
+      Attack.measure ~seeds ?pool
+        (Interconnect_channel.scenario ~bus ())
+        ~cfg ()
     in
     [ name; Table.cell_float o.Attack.capacity_bits;
       (if o.Attack.capacity_bits > 0.01 then "open" else "closed") ]
@@ -539,7 +528,9 @@ let e11_padding_strategies ?(seeds = default_seeds) () =
 
 let e12_smt ?(seeds = default_seeds) ?pool () =
   let row (name, smt, cfg) =
-    let o = measure_with ?pool ~seeds (Smt_channel.scenario ~smt ()) ~cfg () in
+    let o =
+      Attack.measure ~seeds ?pool (Smt_channel.scenario ~smt ()) ~cfg ()
+    in
     [ name; Table.cell_float o.Attack.capacity_bits;
       (if o.Attack.capacity_bits > 0.01 then "open" else "closed") ]
   in
@@ -568,7 +559,7 @@ let e12_smt ?(seeds = default_seeds) ?pool () =
 let e13_flush_reload ?(seeds = default_seeds) ?pool () =
   let row (name, shared, cfg) =
     let o =
-      measure_with ?pool ~seeds (Flush_reload.scenario ~shared ()) ~cfg ()
+      Attack.measure ~seeds ?pool (Flush_reload.scenario ~shared ()) ~cfg ()
     in
     [ name; Table.cell_float o.Attack.capacity_bits;
       (if o.Attack.capacity_bits > 0.01 then "open" else "closed") ]
@@ -644,11 +635,7 @@ let e15_exhaustive ?seeds:_ ?pool () =
     let build ~hi_prog ~seed =
       Ni_scenario.build_with_program ~cfg ~seed ~hi_prog
     in
-    let r =
-      match pool with
-      | None -> Exhaustive.check ~build Exhaustive.default_universe
-      | Some p -> Exhaustive.check_par ~pool:p ~build Exhaustive.default_universe
-    in
+    let r = Exhaustive.check ?pool ~build Exhaustive.default_universe in
     [
       name;
       string_of_int r.Exhaustive.programs;

@@ -2,13 +2,15 @@
    more presets by fanning evidence collection over the supervisor.
 
    A task is one (preset, latency seed): it runs [Theorem.collect] —
-   the five kernel obligations plus one full unwinding sweep per secret
-   pair — and returns the evidence.  Tasks are pure functions of
-   (preset, seed, secrets), so a resumed run recomposes a theorem
-   bit-identical to an uninterrupted one; the campaign checkpoint holds
-   each settled task's serialised evidence.  Composition (reading
-   verdicts off the evidence, scope acknowledgements, the per-kind
-   exhaustive small-model lemmas) happens at the end, in-process. *)
+   one execution per secret for the kernel obligations, the invariant
+   run and one full unwinding sweep per secret pair — and returns the
+   evidence.  Tasks are pure functions of (preset, seed, secrets), so a
+   resumed run recomposes a theorem bit-identical to an uninterrupted
+   one; the campaign checkpoint holds each settled task's serialised
+   evidence.  Composition (reading verdicts off the evidence, scope
+   acknowledgements, the per-kind exhaustive small-model lemmas)
+   happens at the end, in-process, through [Theorem.derive] as for
+   [tpro verify]. *)
 
 module Supervisor = Tpro_engine.Supervisor
 module Campaign = Tpro_engine.Campaign
@@ -17,7 +19,6 @@ open Tpro_secmodel
 type report = {
   preset : string;
   theorem : Theorem.t;
-  checks : Proofs.check list;
   lost : (int * string) list;
       (** (task index, error) for evidence lost to supervised failures *)
 }
@@ -67,20 +68,19 @@ let exhaustive_lemmas ~cfg ~seed =
         ~resources:ku.Exhaustive.ku_resources result)
     (Exhaustive.kind_universes ~machine ())
 
-let compose_preset ?(acknowledge = []) ?(exhaustive = true) ~name ~cfg ~seeds
+let compose_preset ?acknowledge ?(exhaustive = true) ~name ~cfg ~seeds
     ~secrets ~evidence ~lost () =
   let first_seed = match seeds with s :: _ -> s | [] -> 0 in
   let first_secret = match secrets with s :: _ -> s | [] -> 0 in
-  let subjects =
-    Theorem.subjects_of_run (build_for ~cfg ~seed:first_seed ~secret:first_secret)
+  let extra =
+    if exhaustive then exhaustive_lemmas ~cfg ~seed:first_seed else []
   in
-  let checks = Theorem.checks_of_evidence ~secrets ~evidence in
-  let lemmas =
-    Theorem.resource_lemmas ~acknowledge ~subjects ~evidence ()
-    @ Theorem.kernel_lemmas ~checks ~evidence
-    @ (if exhaustive then exhaustive_lemmas ~cfg ~seed:first_seed else [])
+  let d =
+    Theorem.derive ?acknowledge ~extra
+      ~run:(build_for ~cfg ~seed:first_seed ~secret:first_secret)
+      ~evidence ()
   in
-  { preset = name; theorem = Theorem.compose lemmas; checks; lost }
+  { preset = name; theorem = d.Theorem.theorem; lost }
 
 (* ------------------------------------------------------------------ *)
 

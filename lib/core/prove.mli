@@ -15,9 +15,6 @@ open Tpro_secmodel
 type report = {
   preset : string;
   theorem : Theorem.t;
-  checks : Proofs.check list;
-      (** the classic six-obligation list, reconstructed from the same
-          evidence *)
   lost : (int * string) list;
       (** (task index, error) for evidence lost to supervised failures *)
 }

@@ -11,12 +11,11 @@ type report = {
 
 let run ?(seeds = Ni_scenario.default_seeds)
     ?(secrets = Ni_scenario.default_secrets) ~cfg () =
+  let first_seed = match seeds with s :: _ -> s | [] -> 0 in
   (* The taxonomy is audited on the machine the checks actually ran on
      (derived from its live resource registry), not on a hand-kept list. *)
   let machine =
-    Tpro_hw.Machine.create
-      (Ni_scenario.machine_config
-         ~seed:(match seeds with s :: _ -> s | [] -> 0))
+    Tpro_hw.Machine.create (Ni_scenario.machine_config ~seed:first_seed)
   in
   (* Out-of-scope resources are acknowledged by the taxonomy audit
      itself: [Mstate.all] enumerates them and [aisa_satisfied] checks
@@ -32,10 +31,16 @@ let run ?(seeds = Ni_scenario.default_seeds)
       (Tpro_hw.Machine.core_resources machine ~core:0
       @ Tpro_hw.Machine.shared_resources machine)
   in
+  let build ~seed ~secret = Ni_scenario.build ~cfg ~seed ~secret in
+  let evidence =
+    List.map
+      (fun seed -> Theorem.collect ~seed ~build:(build ~seed) ~secrets ())
+      seeds
+  in
   let derivation =
-    Theorem.derive ~acknowledge ~seeds
-      ~build:(fun ~seed ~secret -> Ni_scenario.build ~cfg ~seed ~secret)
-      ~secrets ()
+    Theorem.derive ~acknowledge
+      ~run:(build ~seed:first_seed ~secret:(List.hd secrets))
+      ~evidence ()
   in
   let checks = derivation.Theorem.checks in
   {

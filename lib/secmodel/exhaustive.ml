@@ -59,13 +59,15 @@ let observation_of run =
     (fun th -> (Observation.of_thread th, Thread.cost_trace th))
     run.Nonint.observers
 
-(* Core of the sweep, parameterised over the map used for the
-   (seed x program) grid.  The baseline views are computed up front (one
-   per seed, cheap), then every execution of the grid is independent —
-   pure fan-out.  Results are folded in grid order, so the violation
-   count and the *first* violation are identical whichever map runs the
-   grid. *)
-let check_with ~map ~build u =
+(* The baseline views are computed up front (one per seed, cheap), then
+   every execution of the (seed x program) grid is independent — pure
+   fan-out, over [pool] if given.  Results are folded in grid order, so
+   the violation count and the *first* violation are identical whichever
+   map runs the grid. *)
+let check ?pool ~build u =
+  let map =
+    match pool with Some p -> Tpro_engine.Pool.map p | None -> List.map
+  in
   let programs = enumerate u in
   let grid =
     List.concat_map
@@ -105,14 +107,6 @@ let check_with ~map ~build u =
     violations = !violations;
     first_violation = !first;
   }
-
-let check ~build u = check_with ~map:List.map ~build u
-
-let check_par ?pool ?domains ~build u =
-  let run p = check_with ~map:(Tpro_engine.Pool.map p) ~build u in
-  match pool with
-  | Some p -> run p
-  | None -> Tpro_engine.Pool.with_pool ?domains run
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -36,23 +36,16 @@ type result = {
 }
 
 val check :
+  ?pool:Tpro_engine.Pool.t ->
   build:(hi_prog:Program.t -> seed:int -> Nonint.run) ->
   universe ->
   result
 (** Run every program under every seed and compare Lo's observations and
     step costs against the all-[Compute] baseline program of the same
-    length. *)
-
-val check_par :
-  ?pool:Tpro_engine.Pool.t ->
-  ?domains:int ->
-  build:(hi_prog:Program.t -> seed:int -> Nonint.run) ->
-  universe ->
-  result
-(** {!check} with the (seed x program) state-space sweep fanned out
-    across a domain pool.  Each execution boots its own kernel, so the
-    result — including which violation is reported [first] — is
-    identical to the sequential {!check} for any pool size. *)
+    length.  Given [pool], the (seed x program) sweep fans out across its
+    domains; each execution boots its own kernel, so the result —
+    including which violation is reported [first] — is identical to the
+    sequential sweep for any pool size. *)
 
 val pp_result : Format.formatter -> result -> unit
 

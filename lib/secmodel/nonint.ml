@@ -58,21 +58,6 @@ let compare_runs r1 r2 =
     trap_costs = first_cost_divergence Thread.Trap r1.observers r2.observers;
   }
 
-let two_run ?max_steps ~build ~secret1 ~secret2 () =
-  let r1 = execute ?max_steps build secret1 in
-  let r2 = execute ?max_steps build secret2 in
-  compare_runs r1 r2
-
-let check_secrets ?max_steps ~build ~secrets () =
-  match secrets with
-  | [] -> []
-  | base :: rest ->
-    List.filter_map
-      (fun s ->
-        let report = two_run ?max_steps ~build ~secret1:base ~secret2:s () in
-        if secure report then None else Some (base, s, report))
-      rest
-
 let pp_report ppf r =
   if secure r then Format.pp_print_string ppf "no divergence"
   else begin

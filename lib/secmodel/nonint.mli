@@ -5,8 +5,9 @@
     everything Lo can observe — its observation trace *and* the cycle cost
     of each of its execution steps — is identical across runs.
 
-    [two_run] executes a scenario twice with different secrets and reports
-    every divergence, separated into the paper's proof cases:
+    [execute] runs a scenario for one secret; [compare_runs] compares two
+    such runs and reports every divergence, separated into the paper's
+    proof cases:
     - observation divergence: the top-level noninterference statement;
     - user-step cost divergence: Case 1 (ordinary instructions);
     - trap cost divergence: Case 2a (system calls, exceptions). *)
@@ -42,26 +43,9 @@ val execute : ?max_steps:int -> (secret:int -> run) -> int -> run
 
 val compare_runs : run -> run -> divergence_report
 (** Compare two already-executed runs: observation traces plus Case-1 and
-    Case-2a cost traces of the observers.  [two_run] is [execute] twice
-    followed by [compare_runs]; callers that need the final kernels as
-    well (e.g. to compare machine digests) can execute the runs
-    themselves and use this directly. *)
-
-val two_run :
-  ?max_steps:int ->
-  build:(secret:int -> run) ->
-  secret1:int ->
-  secret2:int ->
-  unit ->
-  divergence_report
-
-val check_secrets :
-  ?max_steps:int ->
-  build:(secret:int -> run) ->
-  secrets:int list ->
-  unit ->
-  (int * int * divergence_report) list
-(** Compare every secret against the first one; returns the insecure
-    pairs (empty = noninterference holds on this sample). *)
+    Case-2a cost traces of the observers.  The runs stay the caller's, so
+    one run can be compared with several others, and callers that need
+    the final kernels as well (e.g. to compare machine digests) still
+    have them. *)
 
 val pp_report : Format.formatter -> divergence_report -> unit

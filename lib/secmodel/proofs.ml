@@ -11,61 +11,50 @@ type check = {
   detail : detail;
 }
 
-let cost_divergence_check ~name ~description ~select ?max_steps ~build ~secrets
-    () =
-  match secrets with
+let cost_divergence_check ~name ~description ~select comparisons =
+  let failures =
+    List.filter_map
+      (fun (s1, s2, report) ->
+        Option.map
+          (fun (i, j, a, b) ->
+            Printf.sprintf "secrets (%d,%d): thread %d step %d cost %d vs %d"
+              s1 s2 i j a b)
+          (select report))
+      comparisons
+  in
+  let n = List.length comparisons in
+  match failures with
   | [] ->
-    { name; description; holds = true; detail = Stats "no secrets sampled" }
-  | base :: rest ->
-    let failures =
-      List.filter_map
-        (fun s ->
-          let report =
-            Nonint.two_run ?max_steps ~build ~secret1:base ~secret2:s ()
-          in
-          match select report with
-          | Some (i, j, a, b) ->
-            Some
-              (Format.asprintf
-                 "secrets (%d,%d): thread %d step %d cost %d vs %d" base s i
-                 j a b)
-          | None -> None)
-        rest
-    in
-    (match failures with
-    | [] ->
-      {
-        name;
-        description;
-        holds = true;
-        detail =
-          Stats
-            (Printf.sprintf "%d secret pairs compared, no divergence"
-               (List.length rest));
-      }
-    | d :: _ ->
-      {
-        name;
-        description;
-        holds = false;
-        detail =
-          Counter_example
-            (Printf.sprintf "%d/%d pairs diverged; first: %s"
-               (List.length failures) (List.length rest) d);
-      })
+    {
+      name;
+      description;
+      holds = true;
+      detail =
+        Stats (Printf.sprintf "%d secret pairs compared, no divergence" n);
+    }
+  | d :: _ ->
+    {
+      name;
+      description;
+      holds = false;
+      detail =
+        Counter_example
+          (Printf.sprintf "%d/%d pairs diverged; first: %s"
+             (List.length failures) n d);
+    }
 
-let case1_user_steps ?max_steps ~build ~secrets () =
+let case1_user_steps comparisons =
   cost_divergence_check ~name:"case-1"
     ~description:
       "user-mode instruction cost of Lo is independent of Hi's secret"
     ~select:(fun r -> r.Nonint.user_costs)
-    ?max_steps ~build ~secrets ()
+    comparisons
 
-let case2a_traps ?max_steps ~build ~secrets () =
+let case2a_traps comparisons =
   cost_divergence_check ~name:"case-2a"
     ~description:"trap cost of Lo is independent of Hi's secret"
     ~select:(fun r -> r.Nonint.trap_costs)
-    ?max_steps ~build ~secrets ()
+    comparisons
 
 let case2b_constant_switch kernel =
   let name = "case-2b" in
@@ -123,21 +112,22 @@ let case2b_constant_switch kernel =
       }
   end
 
-let noninterference ?max_steps ~build ~secrets () =
+let noninterference comparisons =
   let name = "noninterference" in
   let description =
     "Lo's complete observation trace is identical for every Hi secret"
   in
-  match Nonint.check_secrets ?max_steps ~build ~secrets () with
+  match List.filter (fun (_, _, r) -> not (Nonint.secure r)) comparisons with
   | [] ->
+    (* every secret but the first was compared with the first *)
+    let n_secrets = List.length comparisons + 1 in
     {
       name;
       description;
       holds = true;
       detail =
         Stats
-          (Printf.sprintf "%d secrets compared, traces identical"
-             (List.length secrets));
+          (Printf.sprintf "%d secrets compared, traces identical" n_secrets);
     }
   | (s1, s2, report) :: _ as bad ->
     {
@@ -219,25 +209,6 @@ let across_seeds ~seeds f =
             (Printf.sprintf "holds for %d latency functions (%s)"
                (List.length seeds) (detail_text template.detail));
       })
-
-let all ?max_steps ?(seeds = [ 0; 1; 2 ]) ~build ~secrets () =
-  let first_secret = match secrets with s :: _ -> s | [] -> 0 in
-  [
-    across_seeds ~seeds (fun ~seed ->
-        case1_user_steps ?max_steps ~build:(build ~seed) ~secrets ());
-    across_seeds ~seeds (fun ~seed ->
-        case2a_traps ?max_steps ~build:(build ~seed) ~secrets ());
-    across_seeds ~seeds (fun ~seed ->
-        let run =
-          Nonint.execute ?max_steps (build ~seed) first_secret
-        in
-        case2b_constant_switch run.Nonint.kernel);
-    across_seeds ~seeds (fun ~seed ->
-        noninterference ?max_steps ~build:(build ~seed) ~secrets ());
-    across_seeds ~seeds (fun ~seed ->
-        invariants_throughout ?max_steps ~build:(build ~seed)
-          ~secret:first_secret ());
-  ]
 
 let pp ppf c =
   Format.fprintf ppf "%s %s: %s — %s"

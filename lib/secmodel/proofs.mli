@@ -6,7 +6,11 @@
     a sampled universe of programs, secrets and latency functions
     (remember the time model is an *unspecified* deterministic function —
     a claim must hold for every seed, so the checkers quantify over
-    seeds).  A [check] failing pinpoints a counter-example. *)
+    seeds).  A [check] failing pinpoints a counter-example.
+
+    Cases 1 and 2a and top-level noninterference execute nothing: they
+    read the comparisons [Theorem.collect] makes after running each
+    secret once, so the three verdicts are judged on the same runs. *)
 
 open Tpro_kernel
 
@@ -27,37 +31,25 @@ type check = {
   detail : detail;
 }
 
-val case1_user_steps :
-  ?max_steps:int ->
-  build:(secret:int -> Nonint.run) ->
-  secrets:int list ->
-  unit ->
-  check
+val case1_user_steps : (int * int * Nonint.divergence_report) list -> check
 (** Case 1: the cycle cost of every ordinary user-mode instruction
-    executed by Lo is independent of Hi's secret. *)
+    executed by Lo is independent of Hi's secret.  Read off the
+    comparisons of one run per secret with the first secret's run: one
+    [(first, secret, report)] per other secret, as [Theorem.collect]
+    makes them. *)
 
-val case2a_traps :
-  ?max_steps:int ->
-  build:(secret:int -> Nonint.run) ->
-  secrets:int list ->
-  unit ->
-  check
+val case2a_traps : (int * int * Nonint.divergence_report) list -> check
 (** Case 2a: the cycle cost of every Lo trap (system call, fault) is
-    independent of Hi's secret. *)
+    independent of Hi's secret.  Same comparisons as {!case1_user_steps}. *)
 
 val case2b_constant_switch : Kernel.t -> check
 (** Case 2b: every padded domain switch completed exactly at
     [slice_start + slice + pad] of the switched-from domain, with no
     overruns.  Evaluated on a completed run's event trace. *)
 
-val noninterference :
-  ?max_steps:int ->
-  build:(secret:int -> Nonint.run) ->
-  secrets:int list ->
-  unit ->
-  check
+val noninterference : (int * int * Nonint.divergence_report) list -> check
 (** The top-level property: Lo's complete observation traces agree across
-    all secrets. *)
+    all secrets.  Same comparisons as {!case1_user_steps}. *)
 
 val invariants_throughout :
   ?max_steps:int ->
@@ -73,15 +65,5 @@ val across_seeds :
   seeds:int list -> (seed:int -> check) -> check
 (** Conjunction of a check over several latency-function seeds; the
     paper's "deterministic yet unspecified" quantification. *)
-
-val all :
-  ?max_steps:int ->
-  ?seeds:int list ->
-  build:(seed:int -> secret:int -> Nonint.run) ->
-  secrets:int list ->
-  unit ->
-  check list
-(** The full proof stack: Cases 1, 2a, 2b, top-level noninterference and
-    the partitioning invariants, each quantified over latency seeds. *)
 
 val pp : Format.formatter -> check -> unit

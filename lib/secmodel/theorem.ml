@@ -1,13 +1,6 @@
 open Tpro_hw
 open Tpro_kernel
 
-type subject = {
-  s_name : string;
-  s_kind : Resource.kind;
-  s_obligation : Resource.obligation;
-  s_defence : string;
-}
-
 type pair_evidence = {
   pe_secrets : int * int;
   pe_diverged : (string * int) list;
@@ -30,47 +23,67 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Evidence gathering.  [collect] runs, for one latency seed, exactly
-   the per-seed bodies of [Proofs.all] (cases 1/2a/2b, top-level
-   noninterference, invariants — same calls, same order) plus one full
-   unwinding sweep per secret pair.  [checks_of_evidence] then re-wraps
-   them [across_seeds] so the classic check list is reproduced
-   byte-identically from recorded evidence — which is what lets
-   [tpro prove] fan collection over the supervisor and checkpoint the
-   evidence between processes. *)
+(* Evidence gathering.  [collect] runs, for one latency seed, each
+   secret once and compares every run with the first secret's: cases
+   1/2a and top-level noninterference read those comparisons, case 2b
+   the first run's kernel.  The invariant run and one full unwinding
+   sweep per secret pair execute on their own, with their own step
+   budgets.  [checks_of_evidence] then re-wraps the checks
+   [across_seeds] so the classic check list is reproduced from recorded
+   evidence — which is what lets [tpro prove] fan collection over the
+   supervisor and checkpoint the evidence between processes. *)
+
+let secrets_error secrets =
+  match secrets with
+  | s :: rest when List.exists (fun s' -> s' <> s) rest -> None
+  | _ ->
+    Some
+      (Printf.sprintf "need at least two distinct secrets, got %s"
+         (if secrets = [] then "none"
+          else String.concat "," (List.map string_of_int secrets)))
 
 let collect ?max_steps ?max_lo_steps ~seed ~build ~secrets () =
-  let first_secret = match secrets with s :: _ -> s | [] -> 0 in
+  Option.iter
+    (fun m -> invalid_arg ("Theorem.collect: " ^ m))
+    (secrets_error secrets);
+  let base = List.hd secrets and rest = List.tl secrets in
+  (* the first run is kept; each other run is compared with it as soon
+     as it finishes, so at most two runs are live at once *)
+  let first = Nonint.execute ?max_steps build base in
+  let comparisons =
+    List.map
+      (fun s ->
+        let run = Nonint.execute ?max_steps build s in
+        (base, s, Nonint.compare_runs first run))
+      rest
+  in
   let checks =
     [
-      Proofs.case1_user_steps ?max_steps ~build ~secrets ();
-      Proofs.case2a_traps ?max_steps ~build ~secrets ();
-      (let run = Nonint.execute ?max_steps build first_secret in
-       Proofs.case2b_constant_switch run.Nonint.kernel);
-      Proofs.noninterference ?max_steps ~build ~secrets ();
-      Proofs.invariants_throughout ?max_steps ~build ~secret:first_secret ();
+      Proofs.case1_user_steps comparisons;
+      Proofs.case2a_traps comparisons;
+      Proofs.case2b_constant_switch first.Nonint.kernel;
+      Proofs.noninterference comparisons;
+      Proofs.invariants_throughout ?max_steps ~build ~secret:base ();
     ]
   in
   let pairs =
-    match secrets with
-    | [] | [ _ ] -> []
-    | base :: rest ->
-      List.map
-        (fun s ->
-          let sw =
-            Unwinding.sweep_pair ?max_lo_steps ~build ~secret1:base ~secret2:s
-              ()
-          in
-          {
-            pe_secrets = (base, s);
-            pe_diverged = sw.Unwinding.diverged;
-            pe_progress = sw.Unwinding.progress;
-            pe_boundaries = sw.Unwinding.boundaries;
-          })
-        rest
+    List.map
+      (fun s ->
+        let sw =
+          Unwinding.sweep_pair ?max_lo_steps ~build ~secret1:base ~secret2:s ()
+        in
+        {
+          pe_secrets = (base, s);
+          pe_diverged = sw.Unwinding.diverged;
+          pe_progress = sw.Unwinding.progress;
+          pe_boundaries = sw.Unwinding.boundaries;
+        })
+      rest
   in
   { ev_seed = seed; ev_checks = checks; ev_pairs = pairs }
 
+(* The resources lemmas are derived for: those the observing (Lo) core
+   sees, plus the shared ones. *)
 let subjects_of_run (run : Nonint.run) =
   let k = run.Nonint.kernel in
   let m = Kernel.machine k in
@@ -79,25 +92,17 @@ let subjects_of_run (run : Nonint.run) =
     | th :: _ -> (Kernel.domain k th.Thread.dom).Domain.core
     | [] -> 0
   in
-  List.map
-    (fun r ->
-      {
-        s_name = Resource.name r;
-        s_kind = Resource.kind r;
-        s_obligation = Resource.obligation r;
-        s_defence = Resource.defence r;
-      })
-    (Machine.core_resources m ~core @ Machine.shared_resources m)
+  Machine.core_resources m ~core @ Machine.shared_resources m
 
 (* ------------------------------------------------------------------ *)
 (* The classic check list, reconstructed from evidence. *)
 
-let checks_of_evidence ~secrets ~evidence =
+let checks_of_evidence evidence =
   let seeds = List.map (fun ev -> ev.ev_seed) evidence in
   let find seed = List.find (fun ev -> ev.ev_seed = seed) evidence in
   let nth i ~seed = List.nth (find seed).ev_checks i in
   let unwinding ~seed =
-    Unwinding.check_of_pairs ~secrets
+    Unwinding.check_of_pairs
       (List.map
          (fun pe ->
            ( pe.pe_secrets,
@@ -142,7 +147,7 @@ let find_progress ~evidence =
         ev.ev_pairs)
     evidence
 
-let resource_lemmas ?(acknowledge = []) ~subjects ~evidence () =
+let resource_lemmas ~acknowledge ~subjects ~evidence =
   let n_seeds = List.length evidence in
   let n_pairs =
     match evidence with [] -> 0 | ev :: _ -> List.length ev.ev_pairs
@@ -154,35 +159,36 @@ let resource_lemmas ?(acknowledge = []) ~subjects ~evidence () =
       0 evidence
   in
   List.map
-    (fun s ->
-      match Resource.component_id ~name:s.s_name s.s_obligation with
+    (fun r ->
+      let name = Resource.name r in
+      match Resource.component_id ~name (Resource.obligation r) with
       | None ->
         {
-          Lemma.lid = "scope:" ^ s.s_name;
-          subject = s.s_name;
+          Lemma.lid = "scope:" ^ name;
+          subject = name;
           mechanism = Lemma.Scope;
           statement =
             Printf.sprintf
-              "no unwinding lemma: %s carries no OS defence (%s)" s.s_name
-              s.s_defence;
+              "no unwinding lemma: %s carries no OS defence (%s)" name
+              (Resource.defence r);
           verdict =
-            Lemma.Unscoped { acknowledged = List.mem s.s_name acknowledge };
+            Lemma.Unscoped { acknowledged = List.mem name acknowledge };
         }
       | Some cid ->
         let mechanism, statement =
-          match s.s_obligation with
+          match Resource.obligation r with
           | Resource.Partition_equal ->
             ( Lemma.Partition,
               Printf.sprintf
                 "the Lo-coloured slice of %s is equal across Hi's secrets \
                  at every Lo boundary"
-                s.s_name )
+                name )
           | Resource.Flush_equal | Resource.Out_of_scope ->
             ( Lemma.Flush,
               Printf.sprintf
                 "the post-switch Lo view of %s is equal across Hi's \
                  secrets at every Lo boundary"
-                s.s_name )
+                name )
         in
         let verdict =
           match find_component ~evidence cid with
@@ -191,7 +197,7 @@ let resource_lemmas ?(acknowledge = []) ~subjects ~evidence () =
               (Printf.sprintf
                  "under latency seed %d, secrets (%d,%d): Lo's view of %s \
                   differs at Lo step %d"
-                 seed s1 s2 s.s_name step)
+                 seed s1 s2 name step)
           | None ->
             Lemma.Proved
               (Printf.sprintf
@@ -199,7 +205,7 @@ let resource_lemmas ?(acknowledge = []) ~subjects ~evidence () =
                   seeds x %d secret pairs)"
                  boundaries n_seeds n_pairs)
         in
-        { Lemma.lid = cid; subject = s.s_name; mechanism; statement; verdict })
+        { Lemma.lid = cid; subject = name; mechanism; statement; verdict })
     subjects
 
 let kernel_lemmas ~checks ~evidence =
@@ -327,33 +333,19 @@ let compose lemmas =
     first_counter_example;
   }
 
-type derivation = {
-  theorem : t;
-  checks : Proofs.check list;
-  subjects : subject list;
-  evidence : seed_evidence list;
-}
+type derivation = { theorem : t; checks : Proofs.check list }
 
-let derive ?acknowledge ?max_steps ?max_lo_steps ?(seeds = [ 0; 1; 2 ])
-    ~build ~secrets () =
-  let evidence =
-    List.map
-      (fun seed ->
-        collect ?max_steps ?max_lo_steps ~seed ~build:(build ~seed) ~secrets
-          ())
-      seeds
-  in
-  let subjects =
-    match (seeds, secrets) with
-    | seed :: _, secret :: _ -> subjects_of_run (build ~seed ~secret)
-    | _ -> []
-  in
-  let checks = checks_of_evidence ~secrets ~evidence in
+(* The one composition: the resource lemmas for the subjects a fresh
+   run's registry names, the kernel lemmas read off the classic checks,
+   then [extra] (the exhaustive lemmas, for [tpro prove]). *)
+let derive ?(acknowledge = []) ?(extra = []) ~run ~evidence () =
+  let checks = checks_of_evidence evidence in
   let lemmas =
-    resource_lemmas ?acknowledge ~subjects ~evidence ()
+    resource_lemmas ~acknowledge ~subjects:(subjects_of_run run) ~evidence
     @ kernel_lemmas ~checks ~evidence
+    @ extra
   in
-  { theorem = compose lemmas; checks; subjects; evidence }
+  { theorem = compose lemmas; checks }
 
 (* ------------------------------------------------------------------ *)
 (* Evidence (de)serialisation for [tpro prove]'s checkpoints: one line

@@ -21,23 +21,12 @@
        lemmas.}}
 
     Evidence collection ({!collect}) is separated from composition
-    ({!compose}) so [tpro prove] can fan collection over the supervisor,
+    ({!derive}) so [tpro prove] can fan collection over the supervisor,
     checkpoint serialized evidence between processes, and compose at the
-    end; {!checks_of_evidence} reconstructs the classic {!Proofs} check
-    list from the same evidence byte-identically, which is how {!Verify}
-    keeps its historical output stable while consuming the theorem. *)
-
-open Tpro_hw
-
-type subject = {
-  s_name : string;
-  s_kind : Resource.kind;
-  s_obligation : Resource.obligation;
-  s_defence : string;
-}
-(** What the registry declares about one resource — everything lemma
-    derivation needs, detached from the live machine so it can cross a
-    process boundary. *)
+    end.  [tpro verify] collects in-process and composes through the same
+    {!derive}; {!checks_of_evidence} reconstructs the classic {!Proofs}
+    check list from the same evidence, which is the list [tpro verify]
+    prints. *)
 
 type pair_evidence = {
   pe_secrets : int * int;
@@ -50,7 +39,8 @@ type pair_evidence = {
 type seed_evidence = {
   ev_seed : int;
   ev_checks : Proofs.check list;
-      (** the five kernel obligations of [Proofs.all], in order *)
+      (** the five kernel obligations — cases 1/2a/2b, top-level
+          noninterference, invariants — in that order *)
   ev_pairs : pair_evidence list;  (** one sweep per secret pair *)
 }
 
@@ -65,6 +55,12 @@ type t = {
       (** (lemma id, detail) of the first failure *)
 }
 
+val secrets_error : int list -> string option
+(** [None] if the secrets hold at least two distinct values, otherwise
+    the reason they cannot support a proof: every check compares each
+    secret with the first, so with fewer than two distinct secrets no
+    pair of runs differs in Hi's secret and every verdict is vacuous. *)
+
 val collect :
   ?max_steps:int ->
   ?max_lo_steps:int ->
@@ -73,35 +69,19 @@ val collect :
   secrets:int list ->
   unit ->
   seed_evidence
-(** Run one latency seed's worth of evidence: exactly the per-seed
-    bodies of [Proofs.all] plus one full unwinding sweep per secret
-    pair. *)
+(** One latency seed's worth of evidence.  Each secret is executed once
+    and compared with the first secret's run as soon as it finishes (at
+    most two runs are live); cases 1/2a and top-level noninterference
+    read those comparisons, case 2b the first run's kernel.  The
+    invariant run and one full unwinding sweep per (first, other) secret
+    pair execute separately, under their own step budgets.
 
-val subjects_of_run : Nonint.run -> subject list
-(** The registry subjects visible to a run's observing (Lo) core, plus
-    the shared resources — the set of resources lemmas are derived
-    for. *)
+    @raise Invalid_argument if {!secrets_error} rejects [secrets]. *)
 
-val checks_of_evidence :
-  secrets:int list -> evidence:seed_evidence list -> Proofs.check list
+val checks_of_evidence : seed_evidence list -> Proofs.check list
 (** The classic six-check list (cases 1/2a/2b, noninterference,
     invariants, unwinding), each wrapped [across_seeds], reconstructed
-    from evidence — byte-identical to computing them directly. *)
-
-val resource_lemmas :
-  ?acknowledge:string list ->
-  subjects:subject list ->
-  evidence:seed_evidence list ->
-  unit ->
-  Lemma.t list
-(** One lemma per subject: [flush:]/[partition:] verdicts read off the
-    sweep evidence; out-of-scope subjects become [scope:] lemmas,
-    acknowledged iff named in [acknowledge]. *)
-
-val kernel_lemmas :
-  checks:Proofs.check list -> evidence:seed_evidence list -> Lemma.t list
-(** The five kernel lemmas from a [checks_of_evidence] list, refined by
-    the unwinding components they own. *)
+    from evidence. *)
 
 val lemma_of_exhaustive :
   kind_label:string -> resources:string list -> Exhaustive.result -> Lemma.t
@@ -112,23 +92,24 @@ val compose : Lemma.t list -> t
 
 type derivation = {
   theorem : t;
-  checks : Proofs.check list;
-  subjects : subject list;
-  evidence : seed_evidence list;
+  checks : Proofs.check list;  (** {!checks_of_evidence} of the evidence *)
 }
 
 val derive :
   ?acknowledge:string list ->
-  ?max_steps:int ->
-  ?max_lo_steps:int ->
-  ?seeds:int list ->
-  build:(seed:int -> secret:int -> Nonint.run) ->
-  secrets:int list ->
+  ?extra:Lemma.t list ->
+  run:Nonint.run ->
+  evidence:seed_evidence list ->
   unit ->
   derivation
-(** Collect over all seeds and compose in-process (the sequential path
-    used by {!Verify}; [tpro prove] runs [collect] under the supervisor
-    instead).  Default seeds [[0;1;2]] as in [Proofs.all]. *)
+(** The one composition from evidence.  Lemmas, in order: one per
+    registry resource that [run] (a fresh run of the scenario) shows its
+    observing core and the shared state — [flush:]/[partition:] verdicts
+    read off the sweep evidence, out-of-scope resources as [scope:]
+    lemmas, acknowledged iff named in [acknowledge] — then the five
+    kernel lemmas, read off {!checks_of_evidence} and refined by the
+    unwinding components they own, then [extra] (the exhaustive
+    small-model lemmas, for [tpro prove]). *)
 
 val evidence_to_string : seed_evidence -> string
 val evidence_of_string : string -> (seed_evidence, string) result

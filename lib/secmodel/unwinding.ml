@@ -162,16 +162,6 @@ let lo_count (run : Nonint.run) ~lo_dom =
       if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
     0 run.Nonint.observers
 
-(* Advance one run until Lo has completed [target] instructions; [false]
-   if the system quiesced first. *)
-let advance (run : Nonint.run) ~lo_dom ~target =
-  let rec go () =
-    if lo_count run ~lo_dom >= target then true
-    else if Kernel.step run.Nonint.kernel then go ()
-    else false
-  in
-  go ()
-
 let prepare build secret =
   let run = build ~secret in
   List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
@@ -181,53 +171,22 @@ let prepare build secret =
    run can be nominated (the pairwise topology campaigns evaluate every
    domain pair); by default it is the first observer thread's domain —
    the legacy Hi/Lo behaviour. *)
-let observer_dom ~who lo_dom (run : Nonint.run) =
+let observer_dom lo_dom (run : Nonint.run) =
   match lo_dom with
   | Some d -> d
   | None -> (
     match run.Nonint.observers with
     | th :: _ -> th.Thread.dom
-    | [] -> invalid_arg (who ^ ": no observers"))
-
-let check_pair ?(max_lo_steps = 20_000) ?lo_dom ~build ~secret1 ~secret2 () =
-  let a = prepare build secret1 in
-  let b = prepare build secret2 in
-  let lo_dom = observer_dom ~who:"Unwinding.check_pair" lo_dom a in
-  let memo_a = obs_memo () and memo_b = obs_memo () in
-  let rec go k =
-    if k > max_lo_steps then None
-    else begin
-      let a_live = advance a ~lo_dom ~target:k in
-      let b_live = advance b ~lo_dom ~target:k in
-      if a_live <> b_live then
-        Some { lo_step = k; component = "lo-progress" }
-      else if not a_live then None
-      else begin
-        let va = lo_view ~memo:memo_a a.Nonint.kernel ~lo_dom in
-        let vb = lo_view ~memo:memo_b b.Nonint.kernel ~lo_dom in
-        match
-          List.find_opt
-            (fun ((na, da), (nb, db)) ->
-              assert (na = nb);
-              da <> db)
-            (List.combine va vb)
-        with
-        | Some ((name, _), _) -> Some { lo_step = k; component = name }
-        | None -> go (k + 1)
-      end
-    end
-  in
-  go 1
+    | [] -> invalid_arg "Unwinding.sweep_pair: no observers")
 
 (* ------------------------------------------------------------------ *)
-(* Full sweeps: the evidence-gathering form of [check_pair].
-
-   [check_pair] stops at the first divergence — right for a pass/fail
-   verdict, but the composed theorem needs to attribute a failure to
+(* Full sweeps.  The two runs advance in lockstep to each successive Lo
+   boundary and their views are compared there.  A sweep does not stop
+   at the first divergence: the composed theorem attributes a failure to
    *every* lemma whose component broke, and the fuzz oracle needs the
    two runs fully executed afterwards for the observation-trace
-   comparison.  A sweep runs the same lockstep loop to quiescence,
-   recording the first Lo step at which each view component diverged. *)
+   comparison.  So it runs to quiescence, recording the first Lo step at
+   which each view component diverged. *)
 
 type sweep = {
   run_a : Nonint.run;
@@ -242,13 +201,14 @@ let sweep_pair ?(max_lo_steps = 20_000) ?max_kernel_steps ?lo_dom ~build
     ~secret1 ~secret2 () =
   let a = prepare build secret1 in
   let b = prepare build secret2 in
-  let lo_dom = observer_dom ~who:"Unwinding.sweep_pair" lo_dom a in
+  let lo_dom = observer_dom lo_dom a in
   let memo_a = obs_memo () and memo_b = obs_memo () in
   let budget_a = ref (Option.value max_kernel_steps ~default:max_int) in
   let budget_b = ref (Option.value max_kernel_steps ~default:max_int) in
-  (* like [advance], but bounded by a per-run kernel-step budget so the
-     fuzz oracle can cap runaway scenarios *)
-  let advance_b run budget ~target =
+  (* advance one run until Lo has completed [target] instructions, within
+     a per-run kernel-step budget so the fuzz oracle can cap runaway
+     scenarios; [false] if the run quiesced or ran out of budget first *)
+  let advance run budget ~target =
     let rec go () =
       if lo_count run ~lo_dom >= target then true
       else if !budget > 0 && Kernel.step run.Nonint.kernel then begin
@@ -267,8 +227,8 @@ let sweep_pair ?(max_lo_steps = 20_000) ?max_kernel_steps ?lo_dom ~build
   let rec go k =
     if k > max_lo_steps then ()
     else begin
-      let a_live = advance_b a budget_a ~target:k in
-      let b_live = advance_b b budget_b ~target:k in
+      let a_live = advance a budget_a ~target:k in
+      let b_live = advance b budget_b ~target:k in
       if a_live <> b_live then progress := Some k
       else if a_live then begin
         incr boundaries;
@@ -297,11 +257,10 @@ let sweep_pair ?(max_lo_steps = 20_000) ?max_kernel_steps ?lo_dom ~build
     boundaries = !boundaries;
   }
 
-(* The first divergence in (Lo step, view order) — what [check_pair]
-   would have reported.  [diverged] is recorded in discovery order
-   (step-major, then view order within a step), so its head is exactly
-   that; a progress divergence can only be last, because the sweep stops
-   there. *)
+(* The first divergence in (Lo step, view order).  [diverged] is
+   recorded in discovery order (step-major, then view order within a
+   step), so its head is exactly that; a progress divergence can only be
+   last, because the sweep stops there. *)
 let first_divergence ~diverged ~progress =
   match diverged with
   | (component, lo_step) :: _ -> Some { lo_step; component }
@@ -314,34 +273,30 @@ let sweep_divergence sw =
   first_divergence ~diverged:sw.diverged ~progress:sw.progress
 
 (* ------------------------------------------------------------------ *)
-(* Proof-obligation rendering, shared by [check] (which probes pairs
-   itself) and [Theorem] (which replays recorded sweep evidence) — one
-   formatter, so the two paths are byte-identical. *)
+(* The unwinding proof obligation, read off recorded sweep evidence. *)
 
-let unwinding_name = "unwinding"
-
-let unwinding_description =
-  "Lo's complete state view is preserved at every Lo instruction \
-   boundary (state-level unwinding relation)"
-
-let describe_divergence ~secret1 ~secret2 d =
-  Printf.sprintf "secrets (%d,%d): %s differs at Lo step %d" secret1 secret2
-    d.component d.lo_step
-
-let no_secrets_check =
-  {
-    Proofs.name = unwinding_name;
-    description = unwinding_description;
-    holds = true;
-    detail = Proofs.Stats "no secrets sampled";
-  }
-
-let summarise ~n_pairs failures =
+let check_of_pairs pairs =
+  let name = "unwinding" in
+  let description =
+    "Lo's complete state view is preserved at every Lo instruction \
+     boundary (state-level unwinding relation)"
+  in
+  let n_pairs = List.length pairs in
+  let failures =
+    List.filter_map
+      (fun ((s1, s2), d) ->
+        Option.map
+          (fun d ->
+            Printf.sprintf "secrets (%d,%d): %s differs at Lo step %d" s1 s2
+              d.component d.lo_step)
+          d)
+      pairs
+  in
   match failures with
   | [] ->
     {
-      Proofs.name = unwinding_name;
-      description = unwinding_description;
+      Proofs.name;
+      description;
       holds = true;
       detail =
         Proofs.Stats
@@ -350,37 +305,11 @@ let summarise ~n_pairs failures =
     }
   | d :: _ ->
     {
-      Proofs.name = unwinding_name;
-      description = unwinding_description;
+      Proofs.name;
+      description;
       holds = false;
       detail =
         Proofs.Counter_example
           (Printf.sprintf "%d/%d pairs broke the relation; first: %s"
              (List.length failures) n_pairs d);
     }
-
-let check ?max_lo_steps ~build ~secrets () =
-  match secrets with
-  | [] -> no_secrets_check
-  | base :: rest ->
-    let failures =
-      List.filter_map
-        (fun s ->
-          Option.map
-            (describe_divergence ~secret1:base ~secret2:s)
-            (check_pair ?max_lo_steps ~build ~secret1:base ~secret2:s ()))
-        rest
-    in
-    summarise ~n_pairs:(List.length rest) failures
-
-let check_of_pairs ~secrets pairs =
-  match secrets with
-  | [] -> no_secrets_check
-  | _ ->
-    let failures =
-      List.filter_map
-        (fun ((s1, s2), d) ->
-          Option.map (describe_divergence ~secret1:s1 ~secret2:s2) d)
-        pairs
-    in
-    summarise ~n_pairs:(List.length pairs) failures

@@ -45,21 +45,6 @@ val lo_view : ?memo:obs_memo -> Kernel.t -> lo_dom:int -> (string * int64) list
 (** Digest of each component of Lo's view of the current state.
     Without [memo] the observation trace is re-folded from scratch. *)
 
-val check_pair :
-  ?max_lo_steps:int ->
-  ?lo_dom:int ->
-  build:(secret:int -> Nonint.run) ->
-  secret1:int ->
-  secret2:int ->
-  unit ->
-  divergence option
-(** Lockstep comparison; [None] means the unwinding relation held at
-    every Lo boundary reached by both runs.  [lo_dom] nominates the
-    observer domain whose view is compared — any domain of the run, so
-    the same machinery evaluates every domain pair of an N-domain
-    topology; the default (the first observer thread's domain) is the
-    legacy Hi/Lo behaviour. *)
-
 type sweep = {
   run_a : Nonint.run;
   run_b : Nonint.run;
@@ -69,16 +54,15 @@ type sweep = {
   diverged : (string * int) list;
       (** for each component that ever diverged, the first Lo step at
           which it did — in discovery order (step-major, then view
-          order), so the head is what {!check_pair} would report *)
+          order), so the head is the first divergence *)
   progress : int option;
       (** Lo step at which one run quiesced while the other continued *)
   boundaries : int;  (** Lo boundaries at which the view was compared *)
 }
-(** Evidence from a full lockstep sweep: unlike {!check_pair} it does
-    not stop at the first divergence, so a failure can be attributed to
-    every per-resource lemma that broke, and both runs are fully
-    executed afterwards (the fuzz oracle compares their observation
-    traces). *)
+(** Evidence from a full lockstep sweep: it does not stop at the first
+    divergence, so a failure can be attributed to every per-resource
+    lemma that broke, and both runs are fully executed afterwards (the
+    fuzz oracle compares their observation traces). *)
 
 val sweep_pair :
   ?max_lo_steps:int ->
@@ -89,29 +73,25 @@ val sweep_pair :
   secret2:int ->
   unit ->
   sweep
-(** [max_kernel_steps] bounds each run's total kernel steps (the fuzz
-    oracle's runaway cap); default unbounded.  [lo_dom] as in
-    {!check_pair}. *)
+(** Advance the runs for [secret1] and [secret2] in lockstep, Lo
+    boundary by Lo boundary, comparing Lo's view at each (at most
+    [max_lo_steps] boundaries, default 20,000).  [max_kernel_steps]
+    bounds each run's total kernel steps (the fuzz oracle's runaway
+    cap); default unbounded.  [lo_dom] nominates the observer domain
+    whose view is compared — any domain of the run, so the same
+    machinery evaluates every domain pair of an N-domain topology; the
+    default (the first observer thread's domain) is the legacy Hi/Lo
+    behaviour. *)
 
 val first_divergence :
   diverged:(string * int) list -> progress:int option -> divergence option
-(** The (step, view-order) first divergence — [check_pair]'s verdict
-    recovered from sweep evidence; a progress divergence reports
-    component ["lo-progress"]. *)
+(** The (step, view-order) first divergence, recovered from sweep
+    evidence; a progress divergence reports component ["lo-progress"].
+    [None] means the unwinding relation held at every Lo boundary
+    reached by both runs. *)
 
 val sweep_divergence : sweep -> divergence option
 
-val check :
-  ?max_lo_steps:int ->
-  build:(secret:int -> Nonint.run) ->
-  secrets:int list ->
-  unit ->
-  Proofs.check
-(** All secrets against the first, as a proof obligation. *)
-
-val check_of_pairs :
-  secrets:int list -> ((int * int) * divergence option) list -> Proofs.check
-(** The same proof obligation reconstructed from recorded evidence (one
-    optional first divergence per secret pair, in pair order) — rendered
-    through the same formatter as {!check}, so a theorem derived from
-    sweeps reports byte-identically to a direct check. *)
+val check_of_pairs : ((int * int) * divergence option) list -> Proofs.check
+(** The unwinding proof obligation over recorded evidence: one optional
+    first divergence per secret pair, in pair order. *)

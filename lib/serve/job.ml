@@ -132,10 +132,15 @@ let execute ~fuel kind =
   | Prove { preset; seed; secrets } -> (
     match Time_protection.Presets.by_name preset with
     | None -> Error ("unknown preset: " ^ preset)
-    | Some cfg ->
+    | Some cfg -> (
       let secrets = if secrets = [] then [ 0; 1 ] else secrets in
-      Fuel.burn ~amount:(100 * List.length secrets) fuel;
-      Ok (Prove.evidence_codec.encode (Prove.evidence_task ~cfg ~seed ~secrets)))
+      match Tpro_secmodel.Theorem.secrets_error secrets with
+      | Some m -> Error m
+      | None ->
+        Fuel.burn ~amount:(100 * List.length secrets) fuel;
+        Ok
+          (Prove.evidence_codec.encode
+             (Prove.evidence_task ~cfg ~seed ~secrets))))
   | Table { id; seeds } -> (
     match Time_protection.Experiments.by_id id with
     | None -> Error ("unknown experiment: " ^ id)

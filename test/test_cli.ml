@@ -126,7 +126,30 @@ let test_prove_exit_codes () =
   check_exit "unacknowledged scope exits 2" 2 smoke;
   check_exit "refuted preset exits 1" 1 (smoke @ ack @ [ "--preset"; "none" ]);
   check_exit "unknown preset exits 1" 1 (smoke @ [ "--preset"; "wat" ]);
-  check_exit "bad --seeds exits 124" 124 [ "prove"; "--seeds"; "x" ]
+  check_exit "bad --seeds exits 124" 124 [ "prove"; "--seeds"; "x" ];
+  (* Fewer than two distinct secrets compare no pair of runs, so every
+     verdict would be vacuous: a usage error, reported in one line before
+     any evidence task starts (no supervisor summary follows it). *)
+  List.iter
+    (fun secrets ->
+      let err = Filename.temp_file "tpro-cli-secrets" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          Alcotest.(check int)
+            ("--secrets " ^ secrets ^ " exits 124")
+            124
+            (Sys.command
+               (Filename.quote_command tpro ~stdout:Filename.null ~stderr:err
+                  [ "prove"; "--secrets"; secrets; "-j"; "1" ]));
+          Alcotest.(check (list string))
+            ("--secrets " ^ secrets ^ ": the reason alone on stderr")
+            [
+              "tpro prove: --secrets: need at least two distinct secrets, got "
+              ^ secrets;
+            ]
+            (String.split_on_char '\n' (String.trim (read_file err)))))
+    [ "0"; "0,0" ]
 
 let test_prove_json_artifact () =
   let json = Filename.temp_file "tpro-cli-prove" ".json" in

@@ -75,7 +75,8 @@ let test_ni_holds_under_all_policies () =
         { Tpro_secmodel.Nonint.kernel = k; observers = [ obs ] }
       in
       let report =
-        Tpro_secmodel.Nonint.two_run ~build ~secret1:0 ~secret2:3 ()
+        let open Tpro_secmodel.Nonint in
+        compare_runs (execute build 0) (execute build 3)
       in
       Alcotest.(check bool)
         (Format.asprintf "NI holds under %s replacement"

@@ -10,10 +10,23 @@ open Time_protection
 let secrets = [ 0; 1 ]
 let seed = 0
 
-let build cfg ~secret = Ni_scenario.build ~cfg ~seed ~secret
+let build ?(seed = seed) cfg ~secret = Ni_scenario.build ~cfg ~seed ~secret
 
 let report cfg =
-  Nonint.two_run ~build:(build cfg) ~secret1:0 ~secret2:1 ()
+  Nonint.compare_runs
+    (Nonint.execute (build cfg) 0)
+    (Nonint.execute (build cfg) 1)
+
+(* Every secret but the first, run once and compared with the first
+   secret's run: the comparisons [Theorem.collect] hands the checks. *)
+let comparisons ?seed cfg = function
+  | [] -> []
+  | base :: rest ->
+    let first = Nonint.execute (build ?seed cfg) base in
+    List.map
+      (fun s ->
+        (base, s, Nonint.compare_runs first (Nonint.execute (build ?seed cfg) s)))
+      rest
 
 let test_full_is_secure () =
   Alcotest.(check bool) "no divergence under full TP" true
@@ -27,7 +40,9 @@ let test_each_ablation_leaks () =
   (* a knocked-out mechanism may only leak for some secret pairs, so this
      check samples a wider universe than the quick two-run tests *)
   let leaks cfg =
-    Nonint.check_secrets ~build:(build cfg) ~secrets:[ 0; 1; 2; 3 ] () <> []
+    List.exists
+      (fun (_, _, r) -> not (Nonint.secure r))
+      (comparisons cfg [ 0; 1; 2; 3 ])
   in
   List.iter
     (fun (name, cfg) ->
@@ -36,17 +51,11 @@ let test_each_ablation_leaks () =
     Presets.ablations
 
 let test_case1_full () =
-  let c =
-    Proofs.case1_user_steps ~build:(fun ~secret -> build Presets.full ~secret)
-      ~secrets ()
-  in
+  let c = Proofs.case1_user_steps (comparisons Presets.full secrets) in
   Alcotest.(check bool) "case 1 holds" true c.Proofs.holds
 
 let test_case2a_full () =
-  let c =
-    Proofs.case2a_traps ~build:(fun ~secret -> build Presets.full ~secret)
-      ~secrets ()
-  in
+  let c = Proofs.case2a_traps (comparisons Presets.full secrets) in
   Alcotest.(check bool) "case 2a holds" true c.Proofs.holds
 
 let test_case2b_full () =
@@ -63,15 +72,9 @@ let test_case2b_catches_unpadded_idle () =
   Alcotest.(check bool) "case 2b detects early handover" false c.Proofs.holds
 
 let test_noninterference_check () =
-  let c =
-    Proofs.noninterference ~build:(fun ~secret -> build Presets.full ~secret)
-      ~secrets ()
-  in
+  let c = Proofs.noninterference (comparisons Presets.full secrets) in
   Alcotest.(check bool) "NI holds" true c.Proofs.holds;
-  let c' =
-    Proofs.noninterference ~build:(fun ~secret -> build Presets.none ~secret)
-      ~secrets ()
-  in
+  let c' = Proofs.noninterference (comparisons Presets.none secrets) in
   Alcotest.(check bool) "NI violated without TP" false c'.Proofs.holds
 
 let test_invariants_throughout () =
@@ -85,18 +88,14 @@ let test_invariants_throughout () =
 let test_across_seeds_conjunction () =
   let c =
     Proofs.across_seeds ~seeds:[ 0; 1 ] (fun ~seed ->
-        Proofs.noninterference
-          ~build:(fun ~secret -> Ni_scenario.build ~cfg:Presets.full ~seed ~secret)
-          ~secrets ())
+        Proofs.noninterference (comparisons ~seed Presets.full secrets))
   in
   Alcotest.(check bool) "holds across seeds" true c.Proofs.holds
 
 let test_across_seeds_reports_failing_seed () =
   let c =
     Proofs.across_seeds ~seeds:[ 7 ] (fun ~seed ->
-        Proofs.noninterference
-          ~build:(fun ~secret -> Ni_scenario.build ~cfg:Presets.none ~seed ~secret)
-          ~secrets ())
+        Proofs.noninterference (comparisons ~seed Presets.none secrets))
   in
   Alcotest.(check bool) "failure surfaces" false c.Proofs.holds;
   Alcotest.(check bool) "seed named in detail" true
@@ -104,14 +103,22 @@ let test_across_seeds_reports_failing_seed () =
 
 let test_unwinding_holds_full () =
   let c =
-    Unwinding.check ~build:(build Presets.full) ~secrets:[ 0; 1; 2 ] ()
+    Unwinding.check_of_pairs
+      (List.map
+         (fun s ->
+           ( (0, s),
+             Unwinding.sweep_divergence
+               (Unwinding.sweep_pair ~build:(build Presets.full) ~secret1:0
+                  ~secret2:s ()) ))
+         [ 1; 2 ])
   in
   Alcotest.(check bool) "unwinding relation preserved" true c.Proofs.holds
 
 let test_unwinding_names_component () =
   match
-    Unwinding.check_pair ~build:(build Presets.without_colouring) ~secret1:0
-      ~secret2:1 ()
+    Unwinding.sweep_divergence
+      (Unwinding.sweep_pair ~build:(build Presets.without_colouring) ~secret1:0
+         ~secret2:1 ())
   with
   | None -> Alcotest.fail "colour ablation must break the relation"
   | Some d ->

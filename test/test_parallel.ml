@@ -119,7 +119,7 @@ let test_nested_map () =
         rows)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: measure_par == measure, bit for bit                    *)
+(* Determinism: pooled measure == sequential measure, bit for bit      *)
 
 let check_outcome_equal name (a : Tpro_channel.Attack.outcome)
     (b : Tpro_channel.Attack.outcome) =
@@ -137,19 +137,20 @@ let check_outcome_equal name (a : Tpro_channel.Attack.outcome)
 let presets =
   Time_protection.Presets.standard @ Time_protection.Presets.ablations
 
-let test_measure_par_every_preset () =
+let test_pooled_measure_every_preset () =
   let scenario = Tpro_channel.Cache_channel.l1_scenario () in
   let seeds = [ 0; 1 ] in
   List.iter
     (fun (name, cfg) ->
       let seq = Tpro_channel.Attack.measure ~seeds scenario ~cfg () in
       let par =
-        Tpro_channel.Attack.measure_par ~seeds ~domains:4 scenario ~cfg ()
+        Pool.with_pool ~domains:4 (fun pool ->
+            Tpro_channel.Attack.measure ~seeds ~pool scenario ~cfg ())
       in
       check_outcome_equal name seq par)
     presets
 
-let test_measure_par_shared_pool () =
+let test_measure_shared_pool () =
   (* reusing one pool across scenarios and configs changes nothing *)
   let seeds = [ 0 ] in
   Pool.with_pool ~domains:4 (fun pool ->
@@ -159,7 +160,7 @@ let test_measure_par_shared_pool () =
             (fun (name, cfg) ->
               let seq = Tpro_channel.Attack.measure ~seeds scenario ~cfg () in
               let par =
-                Tpro_channel.Attack.measure_par ~seeds ~pool scenario ~cfg ()
+                Tpro_channel.Attack.measure ~seeds ~pool scenario ~cfg ()
               in
               check_outcome_equal name seq par)
             Time_protection.Presets.standard)
@@ -181,7 +182,7 @@ let test_experiment_table_par () =
     Alcotest.(check bool) "table identical" true (seq = par)
 
 (* ------------------------------------------------------------------ *)
-(* Exhaustive sweep: check_par == check                                *)
+(* Exhaustive sweep: pooled check == sequential check                  *)
 
 let small_universe =
   let open Tpro_secmodel.Exhaustive in
@@ -206,13 +207,14 @@ let exhaustive_result_testable =
 let exhaustive_build ~cfg ~hi_prog ~seed =
   Time_protection.Ni_scenario.build_with_program ~cfg ~seed ~hi_prog
 
-let test_check_par_matches_check () =
+let test_pooled_check_matches_check () =
   List.iter
     (fun (_, cfg) ->
       let build = exhaustive_build ~cfg in
       let seq = Tpro_secmodel.Exhaustive.check ~build small_universe in
       let par =
-        Tpro_secmodel.Exhaustive.check_par ~domains:4 ~build small_universe
+        Pool.with_pool ~domains:4 (fun pool ->
+            Tpro_secmodel.Exhaustive.check ~pool ~build small_universe)
       in
       Alcotest.check exhaustive_result_testable "same sweep result" seq par)
     [
@@ -399,14 +401,14 @@ let suite =
     Alcotest.test_case "pool: 500-way fan-out sums" `Quick test_parallel_sum;
     Alcotest.test_case "pool: nested map does not deadlock" `Quick
       test_nested_map;
-    Alcotest.test_case "measure_par bit-identical for every preset" `Quick
-      test_measure_par_every_preset;
-    Alcotest.test_case "measure_par over a shared pool" `Quick
-      test_measure_par_shared_pool;
+    Alcotest.test_case "pooled measure per preset" `Quick
+      test_pooled_measure_every_preset;
+    Alcotest.test_case "measure over a shared pool" `Quick
+      test_measure_shared_pool;
     Alcotest.test_case "experiment table identical with pool" `Quick
       test_experiment_table_par;
-    Alcotest.test_case "exhaustive check_par == check" `Quick
-      test_check_par_matches_check;
+    Alcotest.test_case "pooled exhaustive check" `Quick
+      test_pooled_check_matches_check;
     Alcotest.test_case "campaign identical across -j, two seeds" `Quick
       test_campaign_identical_across_j;
     Alcotest.test_case "campaign resumed across -j stays identical" `Quick

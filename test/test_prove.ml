@@ -81,8 +81,7 @@ let test_evidence_roundtrip () =
           String.concat "\n"
             (List.map
                (fun c -> Format.asprintf "%a" Proofs.pp c)
-               (Theorem.checks_of_evidence ~secrets:smoke_secrets
-                  ~evidence:[ evidence ]))
+               (Theorem.checks_of_evidence [ evidence ]))
         in
         Alcotest.(check string) "checks from round-tripped evidence" (render ev)
           (render ev'))
@@ -90,6 +89,26 @@ let test_evidence_roundtrip () =
   match Theorem.evidence_of_string "seed\tnot-a-number\n" with
   | Ok _ -> Alcotest.fail "malformed evidence must not parse"
   | Error _ -> ()
+
+(* One latency seed over four secrets: each secret is built and executed
+   once for cases 1, 2a, 2b and top-level noninterference (4 builds),
+   each of the three unwinding sweeps builds its pair (6), and the
+   invariant run builds one more.  A sample with one distinct secret is
+   refused before anything is built. *)
+let test_collect_builds_each_secret_once () =
+  let builds = ref 0 in
+  let build ~secret =
+    incr builds;
+    Ni_scenario.build_with ~with_btb:true ~cfg:Presets.full ~seed:0 ~secret
+  in
+  ignore (Theorem.collect ~seed:0 ~build ~secrets:[ 0; 1; 2; 3 ] ());
+  Alcotest.(check int) "builds per seed" 11 !builds;
+  builds := 0;
+  Alcotest.check_raises "one distinct secret is refused"
+    (Invalid_argument
+       "Theorem.collect: need at least two distinct secrets, got 2,2")
+    (fun () -> ignore (Theorem.collect ~seed:0 ~build ~secrets:[ 2; 2 ] ()));
+  Alcotest.(check int) "nothing built" 0 !builds
 
 (* --- the verify path consumes the theorem -------------------------- *)
 
@@ -112,6 +131,21 @@ let test_verify_carries_theorem () =
   Alcotest.(check bool) "theorem refuted under none" true
     (r.Time_protection.Verify.theorem.Theorem.refuted <> [])
 
+(* The whole verify report, byte for byte, for one refuted and one
+   proved preset: E7's table cuts each detail to 57 characters, so this
+   is what pins the full case-1, case-2a and noninterference details. *)
+let test_verify_report_pinned () =
+  List.iter
+    (fun (name, cfg) ->
+      let r =
+        Time_protection.Verify.run ~seeds:[ 0 ] ~secrets:[ 0; 1; 2 ] ~cfg ()
+      in
+      Alcotest.(check string)
+        (name ^ ": verify report")
+        (Test_supervisor.read_file ("fixtures/verify_" ^ name ^ ".txt"))
+        (Format.asprintf "%a" Time_protection.Verify.pp_report r))
+    [ ("none", Presets.none); ("full", Presets.full) ]
+
 (* --- a Neither-resource registration must be loud ------------------ *)
 
 (* Register a bandwidth-shared gadget with no defence on the scenario's
@@ -129,9 +163,16 @@ let build_with_gadget ~seed ~secret =
   run
 
 let test_neither_needs_acknowledgement () =
+  let evidence =
+    List.map
+      (fun seed ->
+        Theorem.collect ~seed ~build:(build_with_gadget ~seed)
+          ~secrets:smoke_secrets ())
+      smoke_seeds
+  in
   let derive ?acknowledge () =
-    (Theorem.derive ?acknowledge ~seeds:smoke_seeds ~build:build_with_gadget
-       ~secrets:smoke_secrets ())
+    (Theorem.derive ?acknowledge ~run:(build_with_gadget ~seed:0 ~secret:0)
+       ~evidence ())
       .Theorem.theorem
   in
   let t = derive () in
@@ -290,8 +331,12 @@ let suite =
       test_compose_semantics;
     Alcotest.test_case "evidence serialisation round-trips" `Quick
       test_evidence_roundtrip;
+    Alcotest.test_case "collect builds each secret once" `Quick
+      test_collect_builds_each_secret_once;
     Alcotest.test_case "verify consumes the composed theorem" `Quick
       test_verify_carries_theorem;
+    Alcotest.test_case "verify report is pinned" `Quick
+      test_verify_report_pinned;
     Alcotest.test_case "Neither-resource needs acknowledgement" `Quick
       test_neither_needs_acknowledgement;
     Alcotest.test_case "per-kind exhaustive universes" `Quick

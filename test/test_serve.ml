@@ -288,6 +288,12 @@ let test_job_execute_and_deadline () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown preset must be rejected");
   (match
+     Job.execute ~fuel:(unlimited ())
+       (Job.Prove { preset = "full"; seed = 0; secrets = [ 3 ] })
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a single secret must be rejected");
+  (match
      Job.execute ~fuel:(unlimited ()) (Job.Table { id = "e99"; seeds = [] })
    with
   | Error _ -> ()

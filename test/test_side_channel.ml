@@ -108,7 +108,8 @@ let test_same_program_different_data_ni () =
     { Tpro_secmodel.Nonint.kernel = k; observers = [ lo_th ] }
   in
   let report cfg =
-    Tpro_secmodel.Nonint.two_run ~build:(build cfg) ~secret1:0 ~secret2:7 ()
+    let open Tpro_secmodel.Nonint in
+    compare_runs (execute (build cfg) 0) (execute (build cfg) 7)
   in
   Alcotest.(check bool) "data-secret invisible under full TP" true
     (Tpro_secmodel.Nonint.secure (report Presets.full));
