@@ -460,15 +460,12 @@ let e11_run ~interim ~seed ~secret =
   (* count the filler's progress only up to the first switch out of Hi:
      that is the work recovered from the padding window of one slice *)
   let useful_at_first_switch = ref None in
-  let steps = ref 0 in
-  while !steps < 100_000 && Kernel.step k do
-    incr steps;
-    (match (Kernel.last_event k, !useful_at_first_switch, filler) with
-    | Some (Event.Switch { from_dom; _ }), None, Some th
-      when from_dom = hi.Domain.did ->
-      useful_at_first_switch := Some (th.Thread.pc * 50)
-    | _ -> ())
-  done;
+  Kernel.run ~max_steps:100_000 k ~on_step:(fun _ ->
+      match (Kernel.last_event k, !useful_at_first_switch, filler) with
+      | Some (Event.Switch { from_dom; _ }), None, Some th
+        when from_dom = hi.Domain.did ->
+        useful_at_first_switch := Some (th.Thread.pc * 50)
+      | _ -> ());
   let arrival =
     match Prime_probe.clock_values (Thread.observations net) with
     | [ t ] -> t

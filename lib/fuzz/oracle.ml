@@ -134,14 +134,15 @@ let lo_llc_digest m (lo : Domain.t) =
 (* Noninterference oracle.
 
    Two runs differing only in the Hi secret, under the full defence
-   config, advanced in lockstep through an unwinding sweep: Lo's entire
-   view of the state is compared at every Lo boundary.  Beyond the sweep
-   we check two machine-level invariants the defences are supposed to
-   establish: the final flushable audit, attributed to each resource's
-   [flush:] lemma; and that the digest of exactly the LLC sets belonging
-   to Lo's page colours is secret-independent (partitioning really
-   confined Hi — the whole LLC digest is legitimately secret-dependent in
-   Hi's own colours), attributed to [partition:llc]. *)
+   config, checked by an unwinding sweep: the second run's Lo view is
+   compared with the first's recorded one at every Lo boundary.  Beyond
+   the sweep we check two machine-level invariants the defences are
+   supposed to establish: the final flushable audit, attributed to each
+   resource's [flush:] lemma; and that the digest of exactly the LLC
+   sets belonging to Lo's page colours is secret-independent
+   (partitioning really confined Hi — the whole LLC digest is
+   legitimately secret-dependent in Hi's own colours), attributed to
+   [partition:llc]. *)
 
 let check_nonint s =
   let sa = s.Scenario.secret_a and sb = s.Scenario.secret_b in
@@ -303,9 +304,9 @@ let check (s : Scenario.t) =
    ~secret:t.secret_a] is the same global system for every [v] — so the
    whole check costs N+3 executions, not N·(N−1)·2:
 
-   - one deep unwinding sweep on the topology's focus pair (lockstep
-     Lo-view comparison at every boundary, lemma-attributed), whose
-     baseline run is reused as *the* baseline;
+   - one deep unwinding sweep on the topology's focus pair (Lo-view
+     comparison at every boundary, lemma-attributed), whose baseline
+     run is reused as *the* baseline;
    - one varied execution per remaining domain;
    - two extra executions for the capacity probe.
 

@@ -321,6 +321,14 @@ let int_keys =
 
 let known_keys = [ "format"; "oracle"; "mutant"; "btb" ] @ int_keys
 
+(* Below these a replayed trial crashes: the keys size the generated
+   programs, or pick a list entry modulo the list's length. *)
+let int_minimums =
+  [
+    ("preset", 0); ("secret_a", 0); ("secret_b", 0); ("slice", 1);
+    ("hi_len", 0); ("lo_phases", 0); ("lo_lines", 0); ("channel", 0);
+  ]
+
 exception Bad of parse_error
 
 let of_string str =
@@ -374,10 +382,14 @@ let of_string str =
           | "btb" ->
             if bool_of_string_opt value = None then
               fail (Printf.sprintf "`btb` wants true/false, got %S" value)
-          | k ->
+          | k -> (
             if int_of_string_opt value = None then
               fail
-                (Printf.sprintf "key `%s` wants an integer, got %S" k value));
+                (Printf.sprintf "key `%s` wants an integer, got %S" k value);
+            match List.assoc_opt k int_minimums with
+            | Some least when int_of_string value < least ->
+              fail (Printf.sprintf "key `%s` must be at least %d" k least)
+            | _ -> ()));
           Hashtbl.add tbl key value
         end)
       (String.split_on_char '\n' str)

@@ -582,7 +582,16 @@ let of_string str =
           if ds.d_core < 0 || ds.d_core >= n_cores then
             fail0
               (Printf.sprintf "dom %d: core %d out of range (%d cores)" d
-                 ds.d_core n_cores))
+                 ds.d_core n_cores);
+          if
+            ds.d_colours < 1 || ds.d_pages < 1 || ds.d_slice < 1
+            || ds.d_wseed < 0
+          then
+            fail0
+              (Printf.sprintf
+                 "dom %d: wants at least 1 colour, 1 page, a positive slice \
+                  and a non-negative workload seed"
+                 d))
         domains;
       let check_dom what v =
         if v < 0 || v >= n then
@@ -617,6 +626,11 @@ let of_string str =
         ipc;
       List.iter (fun k -> check_dom k (geti k))
         [ "deep_hi"; "deep_lo"; "cap_dom"; "cap_obs"; "mis_src"; "mis_dst" ];
+      (* below 0 these crash a replayed trial: they pick a domain and a
+         resource, or a program's shape, modulo a count *)
+      List.iter
+        (fun k -> if geti k < 0 then fail0 (k ^ ": must not be negative"))
+        [ "skip_idx"; "secret_a"; "secret_b" ];
       {
         seed = geti "seed";
         idx = geti "idx";

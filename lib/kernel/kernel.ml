@@ -656,9 +656,9 @@ let step t =
             end)
       end
 
-let run ?(max_steps = 1_000_000) t =
-  let rec go k = if k > 0 && step t then go (k - 1) in
-  go max_steps
+let run ?(max_steps = 1_000_000) ?(on_step = ignore) t =
+  let rec go n = if n <= max_steps && step t then (on_step n; go (n + 1)) in
+  go 1
 
 let pp ppf t =
   Format.fprintf ppf "kernel %a: %d domains, %a" pp_config t.cfg

@@ -121,8 +121,9 @@ val step : t -> bool
     system (all threads halted, or everything blocked with no pending
     interrupt). *)
 
-val run : ?max_steps:int -> t -> unit
-(** Step until quiescent or [max_steps] (default 1_000_000). *)
+val run : ?max_steps:int -> ?on_step:(int -> unit) -> t -> unit
+(** Step until quiescent or [max_steps] (default 1_000_000), calling
+    [on_step n] after the [n]th step. *)
 
 val all_halted : t -> bool
 val events : t -> Event.t list

@@ -17,10 +17,14 @@ let secure r = r.obs = None && r.user_costs = None && r.trap_costs = None
 let view_from run ~dom =
   { run with observers = Domain.threads (Kernel.domain run.kernel dom) }
 
-let execute ?(max_steps = 1_000_000) build secret =
+let prepare build secret =
   let run = build ~secret in
   List.iter (fun th -> Thread.set_traced th true) run.observers;
-  Kernel.run ~max_steps run.kernel;
+  run
+
+let execute ?max_steps build secret =
+  let run = prepare build secret in
+  Kernel.run ?max_steps run.kernel;
   run
 
 let costs_of_kind kind th =

@@ -37,9 +37,13 @@ val view_from : run -> dom:int -> run
     is the (vary, observer) pairwise noninterference check of an N-domain
     topology — the comparison itself is not Hi/Lo specific. *)
 
+val prepare : (secret:int -> run) -> int -> run
+(** Build the scenario for one secret and enable cost tracing on the
+    observers, ready for [Kernel.run]. *)
+
 val execute : ?max_steps:int -> (secret:int -> run) -> int -> run
-(** Build the scenario for one secret, enable cost tracing on the
-    observers, and run to quiescence. *)
+(** {!prepare}, then run to quiescence (at most [max_steps] kernel
+    steps, default 1,000,000). *)
 
 val compare_runs : run -> run -> divergence_report
 (** Compare two already-executed runs: observation traces plus Case-1 and

@@ -140,16 +140,9 @@ let noninterference comparisons =
              (List.length bad) s1 s2 Nonint.pp_report report);
     }
 
-let invariants_throughout ?(max_steps = 200_000) ?(check_every = 50) ~build
-    ~secret () =
-  let name = "invariants" in
-  let description =
-    "partitioning invariants hold in every reachable state"
-  in
-  let run = build ~secret in
-  let k = run.Nonint.kernel in
+let invariants_throughout k =
   let violations = ref [] in
-  let states_checked = ref 0 in
+  let states_checked = ref 0 and steps = ref 0 in
   let check () =
     incr states_checked;
     match Invariant.check_all k with
@@ -157,33 +150,29 @@ let invariants_throughout ?(max_steps = 200_000) ?(check_every = 50) ~build
     | vs -> violations := vs @ !violations
   in
   check ();
-  let steps = ref 0 in
-  while !steps < max_steps && Kernel.step k do
-    incr steps;
-    if !steps mod check_every = 0 then check ()
-  done;
-  check ();
-  match !violations with
-  | [] ->
+  let on_step n =
+    steps := n;
+    if n mod 50 = 0 then check ()
+  in
+  let verdict () =
+    check ();
     {
-      name;
-      description;
-      holds = true;
+      name = "invariants";
+      description = "partitioning invariants hold in every reachable state";
+      holds = !violations = [];
       detail =
-        Stats
-          (Printf.sprintf "%d states checked over %d steps, no violation"
-             !states_checked !steps);
+        (match !violations with
+        | [] ->
+          Stats
+            (Printf.sprintf "%d states checked over %d steps, no violation"
+               !states_checked !steps)
+        | v :: _ ->
+          Counter_example
+            (Format.asprintf "%d violations; first: %a"
+               (List.length !violations) Invariant.pp_violation v));
     }
-  | v :: _ ->
-    {
-      name;
-      description;
-      holds = false;
-      detail =
-        Counter_example
-          (Format.asprintf "%d violations; first: %a"
-             (List.length !violations) Invariant.pp_violation v);
-    }
+  in
+  (on_step, verdict)
 
 let across_seeds ~seeds f =
   match seeds with

@@ -51,15 +51,12 @@ val noninterference : (int * int * Nonint.divergence_report) list -> check
 (** The top-level property: Lo's complete observation traces agree across
     all secrets.  Same comparisons as {!case1_user_steps}. *)
 
-val invariants_throughout :
-  ?max_steps:int ->
-  ?check_every:int ->
-  build:(secret:int -> Nonint.run) ->
-  secret:int ->
-  unit ->
-  check
-(** Partitioning invariants hold in every reachable state of a run
-    (sampled every [check_every] steps, default 50, and at quiescence). *)
+val invariants_throughout : Kernel.t -> (int -> unit) * (unit -> check)
+(** Partitioning invariants hold in every reachable state of a run:
+    checked on the kernel's state now, every 50 steps through the
+    returned step hook (for [Kernel.run ~on_step]), and on the last
+    state when the check is read, once the run has ended.
+    [Theorem.collect] hooks it into the first secret's run. *)
 
 val across_seeds :
   seeds:int list -> (seed:int -> check) -> check

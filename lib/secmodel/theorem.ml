@@ -23,15 +23,16 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Evidence gathering.  [collect] runs, for one latency seed, each
-   secret once and compares every run with the first secret's: cases
+(* Evidence gathering.  [collect] executes, for one latency seed, each
+   secret once.  The first secret's run records Lo's views for the
+   unwinding sweeps and carries the invariant checks; each other run is
+   swept against that record while it executes and compared with the
+   first run once it ends, so at most two runs are live at once.  Cases
    1/2a and top-level noninterference read those comparisons, case 2b
-   the first run's kernel.  The invariant run and one full unwinding
-   sweep per secret pair execute on their own, with their own step
-   budgets.  [checks_of_evidence] then re-wraps the checks
-   [across_seeds] so the classic check list is reproduced from recorded
-   evidence — which is what lets [tpro prove] fan collection over the
-   supervisor and checkpoint the evidence between processes. *)
+   the first run's kernel.  [checks_of_evidence] then re-wraps the
+   checks [across_seeds] so the classic check list is reproduced from
+   recorded evidence — which is what lets [tpro prove] fan collection
+   over the supervisor and checkpoint the evidence between processes. *)
 
 let secrets_error secrets =
   match secrets with
@@ -42,20 +43,36 @@ let secrets_error secrets =
          (if secrets = [] then "none"
           else String.concat "," (List.map string_of_int secrets)))
 
-let collect ?max_steps ?max_lo_steps ~seed ~build ~secrets () =
+let collect ~seed ~build ~secrets () =
   Option.iter
     (fun m -> invalid_arg ("Theorem.collect: " ^ m))
     (secrets_error secrets);
   let base = List.hd secrets and rest = List.tl secrets in
-  (* the first run is kept; each other run is compared with it as soon
-     as it finishes, so at most two runs are live at once *)
-  let first = Nonint.execute ?max_steps build base in
-  let comparisons =
-    List.map
-      (fun s ->
-        let run = Nonint.execute ?max_steps build s in
-        (base, s, Nonint.compare_runs first run))
-      rest
+  let first = Nonint.prepare build base in
+  let record_step, record = Unwinding.record first in
+  let check_step, invariants =
+    Proofs.invariants_throughout first.Nonint.kernel
+  in
+  Kernel.run first.Nonint.kernel ~on_step:(fun n ->
+      record_step n;
+      check_step n);
+  let invariants = invariants () in
+  let pairs, comparisons =
+    List.split
+      (List.map
+         (fun s ->
+           let run = Nonint.prepare build s in
+           let on_step, sweep = Unwinding.sweep_against record run in
+           Kernel.run ~on_step run.Nonint.kernel;
+           let sw = sweep () in
+           ( {
+               pe_secrets = (base, s);
+               pe_diverged = sw.Unwinding.diverged;
+               pe_progress = sw.Unwinding.progress;
+               pe_boundaries = sw.Unwinding.boundaries;
+             },
+             (base, s, Nonint.compare_runs first run) ))
+         rest)
   in
   let checks =
     [
@@ -63,22 +80,8 @@ let collect ?max_steps ?max_lo_steps ~seed ~build ~secrets () =
       Proofs.case2a_traps comparisons;
       Proofs.case2b_constant_switch first.Nonint.kernel;
       Proofs.noninterference comparisons;
-      Proofs.invariants_throughout ?max_steps ~build ~secret:base ();
+      invariants;
     ]
-  in
-  let pairs =
-    List.map
-      (fun s ->
-        let sw =
-          Unwinding.sweep_pair ?max_lo_steps ~build ~secret1:base ~secret2:s ()
-        in
-        {
-          pe_secrets = (base, s);
-          pe_diverged = sw.Unwinding.diverged;
-          pe_progress = sw.Unwinding.progress;
-          pe_boundaries = sw.Unwinding.boundaries;
-        })
-      rest
   in
   { ev_seed = seed; ev_checks = checks; ev_pairs = pairs }
 

@@ -62,19 +62,18 @@ val secrets_error : int list -> string option
     pair of runs differs in Hi's secret and every verdict is vacuous. *)
 
 val collect :
-  ?max_steps:int ->
-  ?max_lo_steps:int ->
   seed:int ->
   build:(secret:int -> Nonint.run) ->
   secrets:int list ->
   unit ->
   seed_evidence
-(** One latency seed's worth of evidence.  Each secret is executed once
-    and compared with the first secret's run as soon as it finishes (at
-    most two runs are live); cases 1/2a and top-level noninterference
-    read those comparisons, case 2b the first run's kernel.  The
-    invariant run and one full unwinding sweep per (first, other) secret
-    pair execute separately, under their own step budgets.
+(** One latency seed's worth of evidence, from one execution per secret
+    (at most two runs live).  The first secret's run records Lo's views
+    ({!Unwinding.record}) and carries the invariant checks; each other
+    secret's run is swept against that record while it executes (one
+    unwinding sweep per (first, other) pair) and then compared with the
+    first run.  Cases 1/2a and top-level noninterference read those
+    comparisons, case 2b the first run's kernel.
 
     @raise Invalid_argument if {!secrets_error} rejects [secrets]. *)
 

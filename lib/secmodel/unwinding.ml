@@ -20,19 +20,18 @@ let state_code = function
 
    [lo_view] hashes Lo's complete observation trace at every Lo
    instruction boundary; folding the whole trace each time is quadratic
-   in trace length and dominated E7.  Observation lists are strictly
-   append-only, so the memo keeps, per thread, the running boundary
-   accumulator of the original left fold and extends it by folding only
-   the observations recorded since the previous boundary — the returned
-   value is bit-identical to the from-scratch [hash_int64s] fold. *)
+   in trace length and dominated E7.  The hash combines one fold per
+   thread, and observation lists are strictly append-only, so the memo
+   keeps each thread's fold and extends it by only the observations
+   recorded since the previous boundary — the returned value is
+   bit-identical to the from-scratch [thread_hash] folds. *)
 type obs_memo = {
-  mutable m_threads : Thread.t array;
+  mutable m_threads : Thread.t list;
   mutable m_counts : int array;
-  mutable m_accs : int64 array;
-      (** [m_accs.(i)]: the fold accumulator after thread [i]'s codes *)
+  mutable m_accs : int64 array;  (** [m_accs.(i)]: thread [i]'s fold *)
 }
 
-let obs_memo () = { m_threads = [||]; m_counts = [||]; m_accs = [||] }
+let obs_memo () = { m_threads = []; m_counts = [||]; m_accs = [||] }
 
 let rec take n = function
   | x :: r when n > 0 -> x :: take (n - 1) r
@@ -41,57 +40,30 @@ let rec take n = function
 let fold_codes acc obs =
   List.fold_left (fun a o -> Rng.chain a (obs_code o)) acc obs
 
+let thread_hash th = fold_codes 0x11L (Thread.observations th)
+
 let obs_hash memo threads =
-  let ths = Array.of_list threads in
-  let n = Array.length ths in
-  let same =
-    n = Array.length memo.m_threads
-    &&
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if ths.(i) != memo.m_threads.(i) then ok := false
-    done;
-    !ok
-  in
-  if not same then begin
-    (* thread set changed (first call, or a spawn): full refold *)
-    memo.m_threads <- ths;
-    memo.m_counts <- Array.make (max n 1) 0;
-    memo.m_accs <- Array.make (max n 1) 0x11L;
-    let acc = ref 0x11L in
-    for i = 0 to n - 1 do
-      acc := fold_codes !acc (Thread.observations ths.(i));
-      memo.m_counts.(i) <- Thread.obs_count ths.(i);
-      memo.m_accs.(i) <- !acc
-    done
+  if not (List.equal ( == ) threads memo.m_threads) then begin
+    (* first call, or a spawn: fold every thread afresh *)
+    memo.m_threads <- threads;
+    memo.m_counts <- Array.of_list (List.map Thread.obs_count threads);
+    memo.m_accs <- Array.of_list (List.map thread_hash threads)
   end
-  else begin
-    let first = ref n in
-    for i = n - 1 downto 0 do
-      if Thread.obs_count ths.(i) <> memo.m_counts.(i) then first := i
-    done;
-    for i = !first to n - 1 do
-      let th = ths.(i) in
-      let count = Thread.obs_count th in
-      let acc =
-        if i = !first then
-          (* append-only: extend this thread's own accumulator by the
-             new tail (newest-first internally, so reverse the slice) *)
-          fold_codes memo.m_accs.(i)
-            (List.rev
-               (take (count - memo.m_counts.(i)) (Thread.observations_rev th)))
-        else
-          (* an earlier thread grew, shifting this thread's starting
-             accumulator: refold it entirely *)
-          fold_codes
-            (if i = 0 then 0x11L else memo.m_accs.(i - 1))
-            (Thread.observations th)
-      in
-      memo.m_counts.(i) <- count;
-      memo.m_accs.(i) <- acc
-    done
-  end;
-  if n = 0 then 0x11L else memo.m_accs.(n - 1)
+  else
+    List.iteri
+      (fun i th ->
+        let count = Thread.obs_count th in
+        if count <> memo.m_counts.(i) then begin
+          (* the list is newest-first, so reverse the new tail *)
+          memo.m_accs.(i) <-
+            fold_codes memo.m_accs.(i)
+              (List.rev
+                 (take (count - memo.m_counts.(i))
+                    (Thread.observations_rev th)));
+          memo.m_counts.(i) <- count
+        end)
+      threads;
+  Array.fold_left Rng.combine 0x11L memo.m_accs
 
 let lo_view ?memo k ~lo_dom =
   let dom = Kernel.domain k lo_dom in
@@ -110,11 +82,7 @@ let lo_view ?memo k ~lo_dom =
   let observations =
     match memo with
     | Some m -> obs_hash m (Domain.threads dom)
-    | None ->
-      hash_int64s
-        (List.concat_map
-           (fun th -> List.map obs_code (Thread.observations th))
-           (Domain.threads dom))
+    | None -> hash_int64s (List.map thread_hash (Domain.threads dom))
   in
   (* Registry fold: Lo's view of the microarchitecture is one component
      per registered in-scope resource, named by its obligation
@@ -162,31 +130,43 @@ let lo_count (run : Nonint.run) ~lo_dom =
       if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
     0 run.Nonint.observers
 
-let prepare build secret =
-  let run = build ~secret in
-  List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
-  run
-
-(* The observer domain whose view the sweep compares: any domain of the
-   run can be nominated (the pairwise topology campaigns evaluate every
-   domain pair); by default it is the first observer thread's domain —
-   the legacy Hi/Lo behaviour. *)
-let observer_dom lo_dom (run : Nonint.run) =
-  match lo_dom with
-  | Some d -> d
-  | None -> (
-    match run.Nonint.observers with
-    | th :: _ -> th.Thread.dom
-    | [] -> invalid_arg "Unwinding.sweep_pair: no observers")
-
 (* ------------------------------------------------------------------ *)
-(* Full sweeps.  The two runs advance in lockstep to each successive Lo
-   boundary and their views are compared there.  A sweep does not stop
-   at the first divergence: the composed theorem attributes a failure to
-   *every* lemma whose component broke, and the fuzz oracle needs the
-   two runs fully executed afterwards for the observation-trace
-   comparison.  So it runs to quiescence, recording the first Lo step at
-   which each view component diverged. *)
+(* Sweeps, record then compare.  A sweep does not stop at the first
+   divergence: the composed theorem attributes a failure to *every*
+   lemma whose component broke, so it keeps the first Lo step at which
+   each view component diverged. *)
+
+let max_lo_steps = 20_000
+
+(* [Kernel.run]'s step hook: [f k view] at each Lo boundary [k <= limit]
+   the run has reached since the previous step, with Lo's view there. *)
+let at_boundaries (run : Nonint.run) ~lo_dom ~limit f =
+  let memo = obs_memo () and next = ref 1 in
+  fun (_ : int) ->
+    while !next <= limit && !next <= lo_count run ~lo_dom do
+      f !next (lo_view ~memo run.Nonint.kernel ~lo_dom);
+      incr next
+    done
+
+type record = {
+  run : Nonint.run;
+  lo_dom : int;
+  mutable names : string array;  (** view component names, view order *)
+  views : Buffer.t;  (** each boundary's component digests, int64 LE *)
+}
+
+let record ?lo_dom (run : Nonint.run) =
+  let lo_dom =
+    match (lo_dom, run.Nonint.observers) with
+    | Some d, _ -> d
+    | None, th :: _ -> th.Thread.dom
+    | None, [] -> invalid_arg "Unwinding.record: no observers"
+  in
+  let r = { run; lo_dom; names = [||]; views = Buffer.create 4096 } in
+  ( at_boundaries run ~lo_dom ~limit:max_lo_steps (fun _ view ->
+        if r.names = [||] then r.names <- Array.of_list (List.map fst view);
+        List.iter (fun (_, d) -> Buffer.add_int64_le r.views d) view),
+    r )
 
 type sweep = {
   run_a : Nonint.run;
@@ -197,70 +177,53 @@ type sweep = {
   boundaries : int;
 }
 
-let sweep_pair ?(max_lo_steps = 20_000) ?max_kernel_steps ?lo_dom ~build
-    ~secret1 ~secret2 () =
-  let a = prepare build secret1 in
-  let b = prepare build secret2 in
-  let lo_dom = observer_dom lo_dom a in
-  let memo_a = obs_memo () and memo_b = obs_memo () in
-  let budget_a = ref (Option.value max_kernel_steps ~default:max_int) in
-  let budget_b = ref (Option.value max_kernel_steps ~default:max_int) in
-  (* advance one run until Lo has completed [target] instructions, within
-     a per-run kernel-step budget so the fuzz oracle can cap runaway
-     scenarios; [false] if the run quiesced or ran out of budget first *)
-  let advance run budget ~target =
-    let rec go () =
-      if lo_count run ~lo_dom >= target then true
-      else if !budget > 0 && Kernel.step run.Nonint.kernel then begin
-        decr budget;
-        go ()
-      end
-      else false
-    in
-    go ()
+let sweep_against r run =
+  let n = Array.length r.names and views = Buffer.contents r.views in
+  let recorded = if n = 0 then 0 else String.length views / (8 * n) in
+  let seen = Array.make n false and diverged = ref [] and boundaries = ref 0 in
+  let check_boundary k view =
+    boundaries := k;
+    List.iteri
+      (fun i (name, d) ->
+        let was = String.get_int64_le views (8 * (((k - 1) * n) + i)) in
+        if (not seen.(i)) && not (Int64.equal d was) then begin
+          seen.(i) <- true;
+          diverged := (name, k) :: !diverged
+        end)
+      view
   in
-  let components = ref [] in
-  let seen = Hashtbl.create 16 in
-  let diverged = ref [] in
-  let progress = ref None in
-  let boundaries = ref 0 in
-  let rec go k =
-    if k > max_lo_steps then ()
-    else begin
-      let a_live = advance a budget_a ~target:k in
-      let b_live = advance b budget_b ~target:k in
-      if a_live <> b_live then progress := Some k
-      else if a_live then begin
-        incr boundaries;
-        let va = lo_view ~memo:memo_a a.Nonint.kernel ~lo_dom in
-        let vb = lo_view ~memo:memo_b b.Nonint.kernel ~lo_dom in
-        if !components = [] then components := List.map fst va;
-        List.iter2
-          (fun (na, da) (nb, db) ->
-            assert (na = nb);
-            if da <> db && not (Hashtbl.mem seen na) then begin
-              Hashtbl.add seen na ();
-              diverged := (na, k) :: !diverged
-            end)
-          va vb;
-        go (k + 1)
-      end
-    end
+  let result () =
+    (* where the runs' final Lo counts differ, the shorter run's next
+       boundary is the first one only the longer run reached *)
+    let ra = lo_count r.run ~lo_dom:r.lo_dom
+    and rb = lo_count run ~lo_dom:r.lo_dom in
+    {
+      run_a = r.run;
+      run_b = run;
+      components = (if !boundaries = 0 then [] else Array.to_list r.names);
+      diverged = List.rev !diverged;
+      progress =
+        (if ra <> rb && min ra rb < max_lo_steps then Some (min ra rb + 1)
+         else None);
+      boundaries = !boundaries;
+    }
   in
-  go 1;
-  {
-    run_a = a;
-    run_b = b;
-    components = !components;
-    diverged = List.rev !diverged;
-    progress = !progress;
-    boundaries = !boundaries;
-  }
+  (at_boundaries run ~lo_dom:r.lo_dom ~limit:recorded check_boundary, result)
+
+let sweep_pair ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
+  let max_steps = Option.value max_kernel_steps ~default:max_int in
+  let a = Nonint.prepare build secret1 in
+  let on_step, r = record ?lo_dom a in
+  Kernel.run ~max_steps ~on_step a.Nonint.kernel;
+  let b = Nonint.prepare build secret2 in
+  let on_step, result = sweep_against r b in
+  Kernel.run ~max_steps ~on_step b.Nonint.kernel;
+  result ()
 
 (* The first divergence in (Lo step, view order).  [diverged] is
    recorded in discovery order (step-major, then view order within a
    step), so its head is exactly that; a progress divergence can only be
-   last, because the sweep stops there. *)
+   last, because it lies past every boundary both runs reached. *)
 let first_divergence ~diverged ~progress =
   match diverged with
   | (component, lo_step) :: _ -> Some { lo_step; component }

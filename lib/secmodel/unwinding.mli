@@ -4,11 +4,12 @@
     freedom via a suitable noninterference property"; the workhorse of
     such proofs is an *unwinding relation*: if two system states are
     Lo-equivalent, they remain Lo-equivalent after every step.  This
-    module checks the relation along paired executions: the two runs
-    (differing only in Hi's secret) are advanced in lockstep to each
-    successive Lo instruction boundary, and at every boundary *Lo's
-    entire view of the machine state* — not merely its observations — is
-    compared:
+    module checks the relation along paired executions that differ only
+    in Hi's secret, one execution per secret: the first run records Lo's
+    view at each of its Lo instruction boundaries, and the second
+    compares its own view with that record at each of its boundaries
+    while it executes.  The view is *Lo's entire view of the machine
+    state* — not merely its observations:
 
     - Lo's thread states (program counters, run states, messages);
     - Lo's observation trace so far;
@@ -45,27 +46,46 @@ val lo_view : ?memo:obs_memo -> Kernel.t -> lo_dom:int -> (string * int64) list
 (** Digest of each component of Lo's view of the current state.
     Without [memo] the observation trace is re-folded from scratch. *)
 
+type record
+(** Lo's view at each Lo boundary of one run, up to 20,000 boundaries:
+    one unboxed digest per view component per boundary. *)
+
+val record : ?lo_dom:int -> Nonint.run -> (int -> unit) * record
+(** The step hook that records a fresh {!Nonint.prepare}d run's Lo views
+    while it executes (its [Kernel.run ~on_step]), and the record it
+    fills.  [lo_dom] nominates the observer domain — any domain of the
+    run, so the same machinery evaluates every domain pair of an
+    N-domain topology; the default (the first observer thread's domain)
+    is the legacy Hi/Lo behaviour. *)
+
 type sweep = {
-  run_a : Nonint.run;
-  run_b : Nonint.run;
+  run_a : Nonint.run;  (** the recorded run *)
+  run_b : Nonint.run;  (** the run swept against the record *)
   components : string list;
-      (** view component names in view order (empty if the runs quiesced
-          before the first Lo boundary) *)
+      (** view component names in view order (empty if no boundary was
+          compared) *)
   diverged : (string * int) list;
       (** for each component that ever diverged, the first Lo step at
           which it did — in discovery order (step-major, then view
           order), so the head is the first divergence *)
   progress : int option;
-      (** Lo step at which one run quiesced while the other continued *)
-  boundaries : int;  (** Lo boundaries at which the view was compared *)
+      (** the first Lo step (at most 20,000) that one run reached and
+          the other did not *)
+  boundaries : int;  (** Lo boundaries both runs reached (at most 20,000) *)
 }
-(** Evidence from a full lockstep sweep: it does not stop at the first
+(** Evidence from a full sweep: it does not stop at the first
     divergence, so a failure can be attributed to every per-resource
-    lemma that broke, and both runs are fully executed afterwards (the
-    fuzz oracle compares their observation traces). *)
+    lemma that broke.  Both runs end fully executed (or at their
+    kernel-step budget), so the fuzz oracle can compare their
+    observation traces; the lockstep sweep this replaced left the
+    longer run mid-way after a progress divergence. *)
+
+val sweep_against : record -> Nonint.run -> (int -> unit) * (unit -> sweep)
+(** The step hook that compares a run's Lo view with the record at each
+    of its Lo boundaries while it executes, and the sweep to read once
+    it has ended.  The recorded run must have ended first. *)
 
 val sweep_pair :
-  ?max_lo_steps:int ->
   ?max_kernel_steps:int ->
   ?lo_dom:int ->
   build:(secret:int -> Nonint.run) ->
@@ -73,15 +93,9 @@ val sweep_pair :
   secret2:int ->
   unit ->
   sweep
-(** Advance the runs for [secret1] and [secret2] in lockstep, Lo
-    boundary by Lo boundary, comparing Lo's view at each (at most
-    [max_lo_steps] boundaries, default 20,000).  [max_kernel_steps]
-    bounds each run's total kernel steps (the fuzz oracle's runaway
-    cap); default unbounded.  [lo_dom] nominates the observer domain
-    whose view is compared — any domain of the run, so the same
-    machinery evaluates every domain pair of an N-domain topology; the
-    default (the first observer thread's domain) is the legacy Hi/Lo
-    behaviour. *)
+(** Record [secret1]'s run, then sweep [secret2]'s against it.
+    [max_kernel_steps] bounds each run's kernel steps (the fuzz oracle's
+    runaway cap); default unbounded.  [lo_dom] as in {!record}. *)
 
 val first_divergence :
   diverged:(string * int) list -> progress:int option -> divergence option

@@ -57,14 +57,36 @@ let test_replay_missing_file () =
    line, not 1 and not an uncaught exception. *)
 let test_replay_malformed_file () =
   let path = Filename.temp_file "tpro-cli-bad" ".txt" in
+  let scenario =
+    Tpro_fuzz.Scenario.(
+      to_string { (generate ~seed:42 0) with oracle = Capacity })
+  and topology =
+    Tpro_fuzz.Topology.to_string
+      (Tpro_fuzz.Topology.generate ~seed:42 ~mutant:Tpro_fuzz.Scenario.Skip_flush
+         0)
+  in
+  let edit text key replacement =
+    Test_fuzz.with_line text ~line:(Test_fuzz.line_of text key) replacement
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "seed 1\ntrials nope\n";
-      close_out oc;
-      check_exit "malformed replay file exits 124" 124
-        [ "fuzz"; "--replay"; path ])
+      List.iter
+        (fun (name, text) ->
+          let oc = open_out path in
+          output_string oc text;
+          close_out oc;
+          check_exit (name ^ ": malformed replay file exits 124") 124
+            [ "fuzz"; "--replay"; path ])
+        [
+          ("unknown key", "seed 1\ntrials nope\n");
+          ("preset -1", edit scenario "preset" "preset -1");
+          ("channel -1", edit scenario "channel" "channel -1");
+          ("dom with 0 colours", edit topology "dom" "dom 0 0 2 0 7 3000");
+          ("dom with 0 pages", edit topology "dom" "dom 0 1 0 0 7 3000");
+          ("dom with slice 0", edit topology "dom" "dom 0 1 2 0 7 0");
+          ("skip_idx -1", edit topology "skip_idx" "skip_idx -1");
+        ])
 
 let read_file path =
   let ic = open_in_bin path in

@@ -49,10 +49,28 @@ let test_file_roundtrip () =
   | Error (Scenario.Parse _) ->
     Alcotest.fail "a missing file is an Io error, not a Parse error"
 
-(* Satellite: malformed replay files yield a typed parse error naming
-   the offending line — never an exception, never a silent default. *)
-let check_parse_error name text ~line ~grep =
-  match Scenario.of_string text with
+(* [text] with its 1-based line [line] replaced, and the line of the
+   first [key] line in [text]. *)
+let with_line text ~line replacement =
+  String.concat "\n"
+    (List.mapi
+       (fun i l -> if i + 1 = line then replacement else l)
+       (String.split_on_char '\n' text))
+
+let line_of text key =
+  let rec go i = function
+    | [] -> Alcotest.failf "no `%s` line" key
+    | l :: rest ->
+      if String.starts_with ~prefix:(key ^ " ") l then i else go (i + 1) rest
+  in
+  go 1 (String.split_on_char '\n' text)
+
+(* Malformed replay files yield a typed parse error naming the offending
+   line — never an exception, never a silent default. *)
+let check_parse_error
+    ?(parse = fun text -> Result.map ignore (Scenario.of_string text)) name
+    text ~line ~grep =
+  match parse text with
   | Ok _ -> Alcotest.failf "%s: malformed input parsed successfully" name
   | Error e ->
     Alcotest.(check int) (name ^ ": line number") line e.Scenario.line;
@@ -67,18 +85,51 @@ let check_parse_error name text ~line ~grep =
 
 let test_parse_errors_typed () =
   let base = Scenario.to_string (Scenario.generate ~seed:3 0) in
-  check_parse_error "missing value" (base ^ "orphan\n") ~line:20
+  (* the line a suffix of [base] starts on *)
+  let after = List.length (String.split_on_char '\n' base) in
+  check_parse_error "missing value" (base ^ "orphan\n") ~line:after
     ~grep:"missing value";
   check_parse_error "non-integer" "seed x\n" ~line:1 ~grep:"integer";
-  check_parse_error "unknown key" (base ^ "wat 3\n") ~line:20
+  check_parse_error "unknown key" (base ^ "wat 3\n") ~line:after
     ~grep:"unknown key";
-  check_parse_error "duplicate key" (base ^ "seed 3\n") ~line:20
+  check_parse_error "duplicate key" (base ^ "seed 3\n") ~line:after
     ~grep:"duplicate key";
   check_parse_error "bad mutant" "mutant frobnicate\n" ~line:1 ~grep:"mutant";
   check_parse_error "missing key" "seed 1\n" ~line:0 ~grep:"missing key";
   (* the reported line is the offending one, not the first *)
   check_parse_error "line counting" "seed 1\nidx 2\noracle nonint\nidx 9\n"
-    ~line:4 ~grep:"duplicate key"
+    ~line:4 ~grep:"duplicate key";
+  (* values that parse as integers but would crash the trial, or give a
+     false verdict, on replay *)
+  List.iter
+    (fun (key, value) ->
+      let line = line_of base key in
+      check_parse_error
+        (Printf.sprintf "%s %d" key value)
+        (with_line base ~line (Printf.sprintf "%s %d" key value))
+        ~line ~grep:"must be at least")
+    [
+      ("preset", -1); ("channel", -1); ("secret_a", -1); ("secret_b", -1);
+      ("slice", 0); ("hi_len", -1); ("lo_phases", -1); ("lo_lines", -1);
+    ];
+  let topo =
+    Topology.to_string (Topology.generate ~seed:3 ~mutant:Scenario.Skip_flush 0)
+  in
+  let parse text = Result.map ignore (Topology.of_string text) in
+  (* a topology's range checks are on the whole file: line 0 *)
+  List.iter
+    (fun (name, key, replacement, grep) ->
+      check_parse_error ~parse name
+        (with_line topo ~line:(line_of topo key) replacement)
+        ~line:0 ~grep)
+    [
+      ("dom with 0 colours", "dom", "dom 0 0 2 0 7 3000", "at least 1 colour");
+      ("dom with 0 pages", "dom", "dom 0 1 0 0 7 3000", "at least 1 colour");
+      ("dom with slice 0", "dom", "dom 0 1 2 0 7 0", "at least 1 colour");
+      ("dom with seed -1", "dom", "dom 0 1 2 0 -1 3000", "at least 1 colour");
+      ("skip_idx -1", "skip_idx", "skip_idx -1", "must not be negative");
+      ("secret_b -1", "secret_b", "secret_b -1", "must not be negative");
+    ]
 
 (* The generator must actually exercise the whole space: every machine
    preset, both BTB settings and all three oracles show up early. *)
@@ -585,4 +636,6 @@ let suite =
       test_two_domain_instance;
     Alcotest.test_case "legacy oracle's skip-flush verdicts pinned" `Quick
       test_legacy_skip_flush_pinned;
+    Alcotest.test_case "replay parse errors are typed" `Quick
+      test_parse_errors_typed;
   ]

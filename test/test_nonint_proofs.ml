@@ -78,12 +78,10 @@ let test_noninterference_check () =
   Alcotest.(check bool) "NI violated without TP" false c'.Proofs.holds
 
 let test_invariants_throughout () =
-  let c =
-    Proofs.invariants_throughout ~check_every:100
-      ~build:(fun ~secret -> build Presets.full ~secret)
-      ~secret:0 ()
-  in
-  Alcotest.(check bool) "invariants hold" true c.Proofs.holds
+  let k = (build Presets.full ~secret:0).Nonint.kernel in
+  let on_step, verdict = Proofs.invariants_throughout k in
+  Kernel.run ~on_step k;
+  Alcotest.(check bool) "invariants hold" true (verdict ()).Proofs.holds
 
 let test_across_seeds_conjunction () =
   let c =
@@ -169,21 +167,22 @@ let test_lo_view_shape () =
     ]
     (List.map fst view)
 
+(* Lo instructions completed by [lo_dom]'s observer threads. *)
+let lo_count (run : Nonint.run) ~lo_dom =
+  List.fold_left
+    (fun acc th ->
+      if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
+    0 run.Nonint.observers
+
 (* The observation-hash memo is the one memo left in [lo_view]: stepping
    a run boundary by boundary, as the sweep does, the memoised view must
    equal a from-scratch one at every Lo boundary. *)
 let check_memo_matches_fresh name (run : Nonint.run) ~lo_dom =
   List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
-  let lo_count () =
-    List.fold_left
-      (fun acc th ->
-        if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
-      0 run.Nonint.observers
-  in
   let k = run.Nonint.kernel in
   let memo = Unwinding.obs_memo () in
   let rec go boundary =
-    if lo_count () >= boundary then begin
+    if lo_count run ~lo_dom >= boundary then begin
       if Unwinding.lo_view ~memo k ~lo_dom <> Unwinding.lo_view k ~lo_dom then
         Alcotest.failf "%s: memoised view differs at Lo boundary %d" name
           boundary;
@@ -212,6 +211,180 @@ let test_memo_view_topology () =
     (Printf.sprintf "topology %d (%d cores)" t.idx t.n_cores)
     (Tpro_fuzz.Topology.build t ~vary:t.deep_hi ~secret:t.secret_b)
     ~lo_dom:t.deep_lo
+
+(* --- the sweep against its lockstep reference ------------------------ *)
+
+(* The lockstep sweep [Unwinding.sweep_pair] used to be, kept as the
+   reference for the record-then-compare one: both runs advance
+   together to each successive Lo boundary (at most 20,000), each within
+   its own kernel-step budget, and their views are compared there; the
+   sweep stops where one run can reach a boundary the other cannot. *)
+let lockstep_sweep ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
+  let prepare secret =
+    let run = build ~secret in
+    List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
+    run
+  in
+  let a = prepare secret1 in
+  let b = prepare secret2 in
+  let lo_dom =
+    match lo_dom with
+    | Some d -> d
+    | None -> (List.hd a.Nonint.observers).Thread.dom
+  in
+  let memo_a = Unwinding.obs_memo () and memo_b = Unwinding.obs_memo () in
+  let budget_a = ref (Option.value max_kernel_steps ~default:max_int) in
+  let budget_b = ref (Option.value max_kernel_steps ~default:max_int) in
+  let advance run budget ~target =
+    let rec go () =
+      if lo_count run ~lo_dom >= target then true
+      else if !budget > 0 && Kernel.step run.Nonint.kernel then begin
+        decr budget;
+        go ()
+      end
+      else false
+    in
+    go ()
+  in
+  let components = ref [] and diverged = ref [] and progress = ref None in
+  let boundaries = ref 0 in
+  let seen = Hashtbl.create 16 in
+  let rec go k =
+    if k <= 20_000 then begin
+      let a_live = advance a budget_a ~target:k in
+      let b_live = advance b budget_b ~target:k in
+      if a_live <> b_live then progress := Some k
+      else if a_live then begin
+        incr boundaries;
+        let va = Unwinding.lo_view ~memo:memo_a a.Nonint.kernel ~lo_dom in
+        let vb = Unwinding.lo_view ~memo:memo_b b.Nonint.kernel ~lo_dom in
+        if !components = [] then components := List.map fst va;
+        List.iter2
+          (fun (na, da) (_, db) ->
+            if da <> db && not (Hashtbl.mem seen na) then begin
+              Hashtbl.add seen na ();
+              diverged := (na, k) :: !diverged
+            end)
+          va vb;
+        go (k + 1)
+      end
+    end
+  in
+  go 1;
+  (!components, List.rev !diverged, !progress, !boundaries)
+
+(* [sweep_pair] must return what the lockstep reference does; the
+   reference's outcome is returned so a case can also pin its shape. *)
+let check_sweep name ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
+  let ((components, diverged, progress, boundaries) as reference) =
+    lockstep_sweep ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 ()
+  in
+  let sw =
+    Unwinding.sweep_pair ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 ()
+  in
+  let label what = Printf.sprintf "%s (%d,%d): %s" name secret1 secret2 what in
+  Alcotest.(check (list string)) (label "components") components
+    sw.Unwinding.components;
+  Alcotest.(check (list (pair string int))) (label "diverged") diverged
+    sw.Unwinding.diverged;
+  Alcotest.(check (option int)) (label "progress") progress
+    sw.Unwinding.progress;
+  Alcotest.(check int) (label "boundaries") boundaries sw.Unwinding.boundaries;
+  reference
+
+let test_sweep_matches_lockstep_presets () =
+  List.iter
+    (fun (name, cfg) ->
+      List.iter
+        (fun secret2 ->
+          ignore
+            (check_sweep name ~build:(build cfg) ~secret1:0 ~secret2 ()))
+        [ 1; 2; 3 ])
+    Presets.known
+
+(* Lo runs [5 * secret] more instructions before it halts, so the run
+   with the smaller secret quiesces first: a progress divergence. *)
+let build_planted ~secret =
+  Ni_scenario.build_spec
+    (Ni_scenario.spec
+       ~machine:(Ni_scenario.machine_config ~seed)
+       ~cfg:Presets.full
+       [
+         Ni_scenario.domain_spec ~slice:Ni_scenario.slice
+           ~pad_cycles:Ni_scenario.pad
+           ~programs:[ [| Program.Compute 400; Program.Halt |] ]
+           ();
+         Ni_scenario.domain_spec ~slice:Ni_scenario.slice
+           ~pad_cycles:Ni_scenario.pad
+           ~programs:
+             [
+               Array.append
+                 (Array.make (40 + (5 * secret)) (Program.Compute 30))
+                 [| Program.Read_clock; Program.Halt |];
+             ]
+           ~observer:true ();
+       ])
+
+let test_sweep_matches_lockstep_progress () =
+  List.iter
+    (fun (secret1, secret2) ->
+      let _, _, progress, boundaries =
+        check_sweep "planted" ~build:build_planted ~secret1 ~secret2 ()
+      in
+      Alcotest.(check (option int))
+        (Printf.sprintf "planted (%d,%d): progress divergence" secret1 secret2)
+        (Some (boundaries + 1)) progress)
+    [ (0, 2); (2, 0) ]
+
+let test_sweep_matches_lockstep_lo_dom () =
+  let t =
+    List.find
+      (fun t ->
+        t.Tpro_fuzz.Topology.n_cores > 1 && Tpro_fuzz.Topology.n_domains t > 2)
+      (List.init 50 (Tpro_fuzz.Topology.generate ~seed:42))
+  in
+  let vary = t.Tpro_fuzz.Topology.deep_hi in
+  let build = Tpro_fuzz.Topology.build t ~vary in
+  let default_dom =
+    (List.hd (build ~secret:t.Tpro_fuzz.Topology.secret_a).Nonint.observers)
+      .Thread.dom
+  in
+  let lo_dom =
+    List.find
+      (fun d -> d <> vary && d <> default_dom)
+      (List.init (Tpro_fuzz.Topology.n_domains t) Fun.id)
+  in
+  let _, _, _, boundaries =
+    check_sweep
+      (Printf.sprintf "topology %d, observer %d" t.Tpro_fuzz.Topology.idx
+         lo_dom)
+      ~max_kernel_steps:(Tpro_fuzz.Topology.max_steps t) ~lo_dom ~build
+      ~secret1:t.Tpro_fuzz.Topology.secret_a
+      ~secret2:t.Tpro_fuzz.Topology.secret_b ()
+  in
+  Alcotest.(check bool) "observer boundaries compared" true (boundaries > 10)
+
+(* Budgets that end the shorter planted run exactly and cut the longer
+   one short, and one that cuts both runs of a preset mid-way. *)
+let test_sweep_matches_lockstep_budget () =
+  let steps secret =
+    let k = (build_planted ~secret).Nonint.kernel in
+    let rec go n = if Kernel.step k then go (n + 1) else n in
+    go 0
+  in
+  let short = steps 0 and long = steps 4 in
+  Alcotest.(check bool) "the runs differ in length" true (short < long);
+  List.iter
+    (fun (budget, secret1, secret2) ->
+      ignore
+        (check_sweep (Printf.sprintf "budget %d" budget)
+           ~max_kernel_steps:budget ~build:build_planted ~secret1 ~secret2 ()))
+    [ (short, 0, 4); (short, 4, 0); ((short + long) / 2, 0, 4) ];
+  let _, _, _, boundaries =
+    check_sweep "budget 1000" ~max_kernel_steps:1000
+      ~build:(build Presets.none) ~secret1:0 ~secret2:1 ()
+  in
+  Alcotest.(check bool) "the budget cut the sweep" true (boundaries < 3712)
 
 let test_execute_traces_observers () =
   let run = Nonint.execute (build Presets.full) 0 in
@@ -251,4 +424,12 @@ let suite =
       test_memo_view_two_domain;
     Alcotest.test_case "memoised lo_view == fresh (multi-core topology)"
       `Quick test_memo_view_topology;
+    Alcotest.test_case "sweep == lockstep: every preset" `Slow
+      test_sweep_matches_lockstep_presets;
+    Alcotest.test_case "sweep == lockstep: progress divergence" `Quick
+      test_sweep_matches_lockstep_progress;
+    Alcotest.test_case "sweep == lockstep: observer domain" `Quick
+      test_sweep_matches_lockstep_lo_dom;
+    Alcotest.test_case "sweep == lockstep: kernel-step budget" `Quick
+      test_sweep_matches_lockstep_budget;
   ]

@@ -91,10 +91,10 @@ let test_evidence_roundtrip () =
   | Error _ -> ()
 
 (* One latency seed over four secrets: each secret is built and executed
-   once for cases 1, 2a, 2b and top-level noninterference (4 builds),
-   each of the three unwinding sweeps builds its pair (6), and the
-   invariant run builds one more.  A sample with one distinct secret is
-   refused before anything is built. *)
+   once (4 builds).  The first run also records the unwinding views and
+   carries the invariant checks; the other three are swept against it
+   and compared with it.  A sample with one distinct secret is refused
+   before anything is built. *)
 let test_collect_builds_each_secret_once () =
   let builds = ref 0 in
   let build ~secret =
@@ -102,7 +102,7 @@ let test_collect_builds_each_secret_once () =
     Ni_scenario.build_with ~with_btb:true ~cfg:Presets.full ~seed:0 ~secret
   in
   ignore (Theorem.collect ~seed:0 ~build ~secrets:[ 0; 1; 2; 3 ] ());
-  Alcotest.(check int) "builds per seed" 11 !builds;
+  Alcotest.(check int) "builds per seed" 4 !builds;
   builds := 0;
   Alcotest.check_raises "one distinct secret is refused"
     (Invalid_argument
@@ -131,9 +131,13 @@ let test_verify_carries_theorem () =
   Alcotest.(check bool) "theorem refuted under none" true
     (r.Time_protection.Verify.theorem.Theorem.refuted <> [])
 
-(* The whole verify report, byte for byte, for one refuted and one
-   proved preset: E7's table cuts each detail to 57 characters, so this
-   is what pins the full case-1, case-2a and noninterference details. *)
+(* A preset name as a fixture file name: [full\flush] is
+   [full_flush], [flush+pad] is [flush_pad]. *)
+let file_safe = String.map (function '\\' | '+' -> '_' | c -> c)
+
+(* The whole verify report, byte for byte, for every preset: E7's table
+   cuts each detail to 57 characters, so this is what pins the full
+   case-1, case-2a, invariant and noninterference details. *)
 let test_verify_report_pinned () =
   List.iter
     (fun (name, cfg) ->
@@ -142,9 +146,23 @@ let test_verify_report_pinned () =
       in
       Alcotest.(check string)
         (name ^ ": verify report")
-        (Test_supervisor.read_file ("fixtures/verify_" ^ name ^ ".txt"))
+        (Test_supervisor.read_file
+           ("fixtures/verify_" ^ file_safe name ^ ".txt"))
         (Format.asprintf "%a" Time_protection.Verify.pp_report r))
-    [ ("none", Presets.none); ("full", Presets.full) ]
+    Presets.known
+
+(* The lemma-verdict JSON for every preset, byte for byte: its lemma
+   details carry the sweeps' boundary counts and first-divergence
+   steps, which the verify report folds into one unwinding line. *)
+let test_prove_json_pinned () =
+  Tpro_engine.Supervisor.with_supervisor ~domains:1 (fun sup ->
+      let o =
+        Prove.run ~sup ~exhaustive:false ~seeds:[ 0 ] ~secrets:[ 0; 1; 2 ]
+          ~presets:Presets.known ()
+      in
+      Alcotest.(check string) "prove --json over every preset"
+        (Test_supervisor.read_file "fixtures/prove_known.json")
+        (Prove.to_json o.Prove.reports))
 
 (* --- a Neither-resource registration must be loud ------------------ *)
 
@@ -346,4 +364,5 @@ let suite =
       test_preset_with_every_seed_lost;
     Alcotest.test_case "partial checkpoint resume recomposes identically"
       `Quick test_partial_resume;
+    Alcotest.test_case "prove JSON is pinned" `Quick test_prove_json_pinned;
   ]
