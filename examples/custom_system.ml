@@ -1,7 +1,7 @@
 (* Building your own time-protected system with the declarative API:
-   a three-domain sensor pipeline (sensor -> filter -> logger), padding
-   attributes derived automatically from the WCET analysis, and the
-   execution timeline reconstructed afterwards.
+   a three-domain sensor pipeline (sensor -> filter -> logger) described
+   as one System.spec, with the padding attribute taken from the WCET
+   analysis, and the execution timeline reconstructed afterwards.
 
    Run with: dune exec examples/custom_system.exe *)
 
@@ -41,28 +41,28 @@ let () =
   let recommended = Wcet.recommended_pad Machine.default_config in
   Format.printf "WCET analysis recommends a padding attribute of %d cycles@.@."
     recommended;
-  let sys =
+  let domain ?regions ?observer program =
+    System.domain ?regions ?observer ~slice:12_000 ~pad_cycles:recommended
+      ~programs:[ program ] ()
+  in
+  let run =
     System.build
-      (System.spec ~protection:Presets.full
+      (System.spec ~machine:Machine.default_config ~cfg:Presets.full
          [
-           System.domain ~name:"sensor" ~slice:12_000 [ sensor ];
-           System.domain ~name:"filter" ~slice:12_000
-             ~regions:[ { System.vbase = buf; pages = 1 } ]
-             [ filter ];
-           System.domain ~name:"logger" ~slice:12_000
-             ~regions:[ { System.vbase = buf; pages = 1 } ]
-             [ logger ];
+           domain sensor;
+           domain ~regions:[ (buf, 1) ] filter;
+           domain ~regions:[ (buf, 1) ] ~observer:true logger;
          ])
   in
-  System.run sys;
-  let k = System.kernel sys in
+  let k = run.Tpro_secmodel.Nonint.kernel in
+  Kernel.run k;
   Format.printf "pipeline completed: %b@.@." (Kernel.all_halted k);
-  (match System.observations sys "logger" with
-  | [ obs ] ->
+  (match run.Tpro_secmodel.Nonint.observers with
+  | [ logger ] ->
     Format.printf "logger saw: %a@.@."
       (Format.pp_print_list ~pp_sep:(fun p () -> Format.pp_print_string p ", ")
          Event.pp_obs)
-      obs
+      (Thread.observations logger)
   | _ -> ());
   Format.printf "execution timeline:@.%a@." (Trace.pp ~limit:16) k;
   Format.printf

@@ -29,17 +29,19 @@ let worker ~d ~secret =
 let build ~cfg ~seed ~secrets =
   if Array.length secrets <> n_domains then
     invalid_arg "Mutual.build: need one secret per domain";
-  let machine_config = Ni_scenario.machine_config ~seed in
-  let k = Kernel.create ~machine_config cfg in
-  let observers =
-    Array.init n_domains (fun d ->
-        let dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
-        Kernel.map_region k dom ~vbase:(buf_of d) ~pages:2;
-        let obs_thread = Kernel.spawn k dom (observer d) in
-        ignore (Kernel.spawn k dom (worker ~d ~secret:secrets.(d)));
-        obs_thread)
+  let run =
+    System.build
+      (System.spec ~machine:(Ni_scenario.machine_config ~seed) ~cfg
+         (List.init n_domains (fun d ->
+              System.domain ~slice ~pad_cycles:pad
+                ~regions:[ (buf_of d, 2) ]
+                ~programs:[ observer d; worker ~d ~secret:secrets.(d) ]
+                ())))
   in
-  (k, observers)
+  let k = run.Nonint.kernel in
+  (* each domain's first thread is its observer *)
+  let observer_of dom = List.hd (Domain.threads dom) in
+  (k, Array.of_list (List.map observer_of (Kernel.domains k)))
 
 let run_views ~cfg ~seed ~secrets =
   let k, observers = build ~cfg ~seed ~secrets in

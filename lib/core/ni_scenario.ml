@@ -1,6 +1,5 @@
 open Tpro_hw
 open Tpro_kernel
-open Tpro_secmodel
 open Tpro_channel
 
 let slice = 30_000
@@ -77,94 +76,22 @@ let hi_program ~secret =
         ~len:100 ~data_base:hi_buf ~data_bytes:(4 * 4096);
     ]
 
-(* --- Record-parameterised scenario construction -------------------- *)
+(* --- The scenarios as system specs ---------------------------------- *)
 
-type domain_spec = {
-  core : int option;
-  n_colours : int option;
-  slice : int;
-  pad_cycles : int;
-  regions : (int * int) list;
-  programs : Program.t list;
-  irqs : int list;
-  observer : bool;
-}
-
-type spec = {
-  machine : Machine.config;
-  cfg : Kernel.config;
-  n_endpoints : int option;
-  n_irqs : int option;
-  schedules : (int * int array) list;
-  domains : domain_spec list;
-  tweak : (Kernel.t -> unit) option;
-}
-
-let domain_spec ?core ?n_colours ?(regions = []) ?(programs = []) ?(irqs = [])
-    ?(observer = false) ~slice ~pad_cycles () =
-  { core; n_colours; slice; pad_cycles; regions; programs; irqs; observer }
-
-let spec ?n_endpoints ?n_irqs ?(schedules = []) ?tweak ~machine ~cfg domains =
-  { machine; cfg; n_endpoints; n_irqs; schedules; domains; tweak }
-
-(* Build order is load-bearing for replay stability: domains are created
-   first (colour and kernel-clone assignment follow creation order), then
-   every region is mapped (frame allocation order), then IRQ owners and
-   schedules are installed, then the [tweak] hook runs (while no thread
-   exists yet), and only then are threads spawned domain-major.  The
-   legacy two-domain builders below are thin specs, and produce
-   bit-identical kernels to their historical hand-rolled bodies. *)
-let build_spec s =
-  let k =
-    Kernel.create ~machine_config:s.machine ?n_endpoints:s.n_endpoints
-      ?n_irqs:s.n_irqs s.cfg
-  in
-  let doms =
-    List.map
-      (fun d ->
-        Kernel.create_domain k ?core:d.core ?n_colours:d.n_colours
-          ~slice:d.slice ~pad_cycles:d.pad_cycles ())
-      s.domains
-  in
-  List.iter2
-    (fun ds dom ->
-      List.iter
-        (fun (vbase, pages) -> Kernel.map_region k dom ~vbase ~pages)
-        ds.regions)
-    s.domains doms;
-  List.iter2
-    (fun ds dom -> List.iter (fun irq -> Kernel.set_irq_owner k ~irq ~dom) ds.irqs)
-    s.domains doms;
-  List.iter
-    (fun (core, order) ->
-      match Kernel.set_schedule k ~core order with
-      | Ok () -> ()
-      | Error e ->
-        invalid_arg ("Ni_scenario.build_spec: " ^ Sched.error_to_string e))
-    s.schedules;
-  (match s.tweak with Some f -> f k | None -> ());
-  let observers =
-    List.concat
-      (List.map2
-         (fun ds dom ->
-           let ths = List.map (fun p -> Kernel.spawn k dom p) ds.programs in
-           if ds.observer then ths else [])
-         s.domains doms)
-  in
-  { Nonint.kernel = k; observers }
+let classic ~with_btb ~cfg ~seed ~secret =
+  System.spec ~machine:(machine_config_with ~with_btb ~seed) ~cfg
+    [
+      System.domain ~slice ~pad_cycles:pad
+        ~regions:[ (hi_buf, 32) ]
+        ~programs:[ hi_program ~secret ]
+        ~irqs:[ 1 ] ();
+      System.domain ~slice ~pad_cycles:pad
+        ~regions:[ (lo_buf, 4) ]
+        ~programs:[ observer ] ~observer:true ();
+    ]
 
 let build_with ~with_btb ~cfg ~seed ~secret =
-  build_spec
-    (spec ~machine:(machine_config_with ~with_btb ~seed) ~cfg
-       [
-         domain_spec ~slice ~pad_cycles:pad
-           ~regions:[ (hi_buf, 32) ]
-           ~programs:[ hi_program ~secret ]
-           ~irqs:[ 1 ] ();
-         domain_spec ~slice ~pad_cycles:pad
-           ~regions:[ (lo_buf, 4) ]
-           ~programs:[ observer ] ~observer:true ();
-       ])
+  System.build (classic ~with_btb ~cfg ~seed ~secret)
 
 let build ~cfg ~seed ~secret = build_with ~with_btb:false ~cfg ~seed ~secret
 
@@ -183,17 +110,16 @@ let small_observer =
       [| Program.Read_clock; Program.Halt |];
     ]
 
-let build_with_program_on ~with_btb ~cfg ~seed ~hi_prog =
-  build_spec
-    (spec ~machine:(machine_config_with ~with_btb ~seed) ~cfg
-       [
-         domain_spec ~slice:small_slice ~pad_cycles:small_pad
-           ~regions:[ (hi_buf, 2) ]
-           ~programs:[ hi_prog ] ();
-         domain_spec ~slice:small_slice ~pad_cycles:small_pad
-           ~regions:[ (lo_buf, 2) ]
-           ~programs:[ small_observer ] ~observer:true ();
-       ])
+let compact ~with_btb ~cfg ~seed ~hi_prog =
+  System.spec ~machine:(machine_config_with ~with_btb ~seed) ~cfg
+    [
+      System.domain ~slice:small_slice ~pad_cycles:small_pad
+        ~regions:[ (hi_buf, 2) ]
+        ~programs:[ hi_prog ] ();
+      System.domain ~slice:small_slice ~pad_cycles:small_pad
+        ~regions:[ (lo_buf, 2) ]
+        ~programs:[ small_observer ] ~observer:true ();
+    ]
 
-let build_with_program ~cfg ~seed ~hi_prog =
-  build_with_program_on ~with_btb:false ~cfg ~seed ~hi_prog
+let build_with_program_on ~with_btb ~cfg ~seed ~hi_prog =
+  System.build (compact ~with_btb ~cfg ~seed ~hi_prog)

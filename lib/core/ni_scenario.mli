@@ -1,20 +1,16 @@
 (** The standard verification scenario for the Sect. 5.2 proof stack.
 
-    Historically this was a hardwired Hi/Lo pair: two domains on one
-    core, Hi running a *random program derived from the secret* (so
-    different secrets mean genuinely different load/store/branch/syscall
-    behaviour, not just different operands), Lo a fixed observer that
-    reads the clock, times loads, takes traps and branches across
-    several of its slices.  Noninterference demands Lo's complete view
-    be identical for every secret.
+    Two domains on one core: Hi runs a *random program derived from the
+    secret* (so different secrets mean genuinely different
+    load/store/branch/syscall behaviour, not just different operands),
+    Lo a fixed observer that reads the clock, times loads, takes traps
+    and branches across several of its slices.  Noninterference demands
+    Lo's complete view be identical for every secret.
 
-    The construction is now record-parameterised: {!build_spec} takes a
-    {!spec} describing any N-domain/M-core system (per-domain cores,
-    colour budgets, slices, regions, programs, IRQ ownership, per-core
-    schedules, and an optional post-boot tweak hook), and the legacy
-    two-domain entry points are thin specs over it — they produce
-    bit-identical kernels to their historical hand-rolled bodies, so
-    golden outputs are unaffected. *)
+    The scenarios are {!System.spec} values: {!classic} is the one the
+    proofs, experiments and fuzz checks run; {!compact} is the
+    exhaustive checker's small variant.  The [build*] functions boot
+    them. *)
 
 open Tpro_kernel
 open Tpro_secmodel
@@ -39,72 +35,26 @@ val hi_program : secret:int -> Program.t
 val observer : Program.t
 (** Lo's fixed observer program. *)
 
-type domain_spec = {
-  core : int option;       (** hosting core ([None] = kernel default) *)
-  n_colours : int option;  (** colour budget ([None] = kernel default) *)
-  slice : int;
-  pad_cycles : int;
-  regions : (int * int) list;  (** [(vbase, pages)] to back, in order *)
-  programs : Program.t list;   (** threads to spawn, in order *)
-  irqs : int list;             (** IRQ lines this domain owns *)
-  observer : bool;  (** include this domain's threads in the run's observers *)
-}
+val classic :
+  with_btb:bool -> cfg:Kernel.config -> seed:int -> secret:int -> System.spec
+(** Hi (32 pages, IRQ 1, {!hi_program}) and the observer Lo (4 pages,
+    {!observer}), both with {!slice} and {!pad}, on
+    {!machine_config_with}.  [seed] selects the latency function;
+    [secret] seeds Hi's program. *)
 
-type spec = {
-  machine : Tpro_hw.Machine.config;
-  cfg : Kernel.config;
-  n_endpoints : int option;
-  n_irqs : int option;
-  schedules : (int * int array) list;
-      (** [(core, order)] replacing that core's creation-order schedule *)
-  domains : domain_spec list;
-  tweak : (Kernel.t -> unit) option;
-      (** runs after boot-time configuration, before any thread is
-          spawned — the hook used e.g. to plant a miscoloured frame *)
-}
-
-val domain_spec :
-  ?core:int ->
-  ?n_colours:int ->
-  ?regions:(int * int) list ->
-  ?programs:Program.t list ->
-  ?irqs:int list ->
-  ?observer:bool ->
-  slice:int ->
-  pad_cycles:int ->
-  unit ->
-  domain_spec
-
-val spec :
-  ?n_endpoints:int ->
-  ?n_irqs:int ->
-  ?schedules:(int * int array) list ->
-  ?tweak:(Kernel.t -> unit) ->
-  machine:Tpro_hw.Machine.config ->
-  cfg:Kernel.config ->
-  domain_spec list ->
-  spec
-
-val build_spec : spec -> Nonint.run
-(** Boot a kernel from [spec]: create every domain (in list order —
-    colour and clone assignment follow creation order), map every
-    region, install IRQ owners then schedules, run [tweak], then spawn
-    all programs domain-major.  The run's observers are the threads of
-    the [observer]-flagged domains.  Raises [Invalid_argument] on an
-    invalid schedule (see {!Kernel.set_schedule}). *)
-
-val build : cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
-(** [seed] selects the latency function; [secret] seeds Hi's program.
-    Equivalent to {!build_spec} on the classic two-domain spec. *)
-
-val build_with :
-  with_btb:bool -> cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
-
-val build_with_program :
-  cfg:Kernel.config -> seed:int -> hi_prog:Program.t -> Nonint.run
+val compact :
+  with_btb:bool -> cfg:Kernel.config -> seed:int -> hi_prog:Program.t ->
+  System.spec
 (** Compact variant for the exhaustive checker: Hi runs exactly
     [hi_prog]; Lo runs a short observer.  Small slices keep each
     execution cheap enough to enumerate hundreds of programs. *)
+
+val build : cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
+(** [System.build (classic ~with_btb:false ~cfg ~seed ~secret)]. *)
+
+val build_with :
+  with_btb:bool -> cfg:Kernel.config -> seed:int -> secret:int -> Nonint.run
+(** [System.build (classic ~with_btb ~cfg ~seed ~secret)]. *)
 
 val build_with_program_on :
   with_btb:bool ->
@@ -112,6 +62,7 @@ val build_with_program_on :
   seed:int ->
   hi_prog:Program.t ->
   Nonint.run
+(** [System.build (compact ~with_btb ~cfg ~seed ~hi_prog)]. *)
 
 val default_secrets : int list
 val default_seeds : int list

@@ -1,93 +1,76 @@
 open Tpro_hw
 open Tpro_kernel
+open Tpro_secmodel
 
-type region = { vbase : int; pages : int }
-
-type domain_spec = {
-  name : string;
-  core : int;
+type domain = {
+  core : int option;
+  n_colours : int option;
   slice : int;
-  pad : int option;
-  n_colours : int;
-  regions : region list;
+  pad_cycles : int;
+  regions : (int * int) list;
   programs : Program.t list;
   irqs : int list;
-}
-
-let domain ?(core = 0) ?pad ?(n_colours = 1) ?(regions = []) ?(irqs = [])
-    ~name ~slice programs =
-  { name; core; slice; pad; n_colours; regions; programs; irqs }
-
-type sharing = {
-  from_domain : string;
-  to_domain : string;
-  region : region;
-  at_vbase : int;
+  observer : bool;
 }
 
 type spec = {
   machine : Machine.config;
-  protection : Kernel.config;
-  domains : domain_spec list;
-  shared : sharing list;
+  cfg : Kernel.config;
+  n_endpoints : int option;
+  n_irqs : int option;
+  schedules : (int * int array) list;
+  domains : domain list;
+  tweak : (Kernel.t -> unit) option;
 }
 
-let spec ?(machine = Machine.default_config) ?(shared = []) ~protection
-    domains =
-  { machine; protection; domains; shared }
+let domain ?core ?n_colours ?(regions = []) ?(programs = []) ?(irqs = [])
+    ?(observer = false) ~slice ~pad_cycles () =
+  { core; n_colours; slice; pad_cycles; regions; programs; irqs; observer }
 
-type t = {
-  sys_kernel : Kernel.t;
-  by_name : (string * (Domain.t * Thread.t list)) list;
-}
+let spec ?n_endpoints ?n_irqs ?(schedules = []) ?tweak ~machine ~cfg domains =
+  { machine; cfg; n_endpoints; n_irqs; schedules; domains; tweak }
 
+(* Build order is load-bearing for replay stability: domains are created
+   first (colour and kernel-clone assignment follow creation order), then
+   every region is mapped (frame allocation order), then IRQ owners and
+   schedules are installed, then the [tweak] hook runs (while no thread
+   exists yet), and only then are threads spawned domain-major (each
+   spawn allocates its code frames, so with colouring off every region
+   frame sits below every code frame). *)
 let build s =
-  let names = List.map (fun d -> d.name) s.domains in
-  if List.length names <> List.length (List.sort_uniq compare names) then
-    invalid_arg "System.build: duplicate domain names";
-  let k = Kernel.create ~machine_config:s.machine s.protection in
-  let default_pad = Wcet.recommended_pad s.machine in
-  let by_name =
+  let k =
+    Kernel.create ~machine_config:s.machine ?n_endpoints:s.n_endpoints
+      ?n_irqs:s.n_irqs s.cfg
+  in
+  let doms =
     List.map
       (fun d ->
-        let dom =
-          Kernel.create_domain k ~core:d.core ~n_colours:d.n_colours
-            ~slice:d.slice
-            ~pad_cycles:(Option.value ~default:default_pad d.pad)
-            ()
-        in
-        List.iter
-          (fun r -> Kernel.map_region k dom ~vbase:r.vbase ~pages:r.pages)
-          d.regions;
-        List.iter (fun irq -> Kernel.set_irq_owner k ~irq ~dom) d.irqs;
-        let threads = List.map (Kernel.spawn k dom) d.programs in
-        (d.name, (dom, threads)))
+        Kernel.create_domain k ?core:d.core ?n_colours:d.n_colours
+          ~slice:d.slice ~pad_cycles:d.pad_cycles ())
       s.domains
   in
-  let find name =
-    match List.assoc_opt name by_name with
-    | Some (dom, _) -> dom
-    | None -> invalid_arg ("System.build: unknown domain " ^ name)
-  in
+  List.iter2
+    (fun ds dom ->
+      List.iter
+        (fun (vbase, pages) -> Kernel.map_region k dom ~vbase ~pages)
+        ds.regions)
+    s.domains doms;
+  List.iter2
+    (fun ds dom -> List.iter (fun irq -> Kernel.set_irq_owner k ~irq ~dom) ds.irqs)
+    s.domains doms;
   List.iter
-    (fun sh ->
-      Kernel.share_region k ~owner:(find sh.from_domain)
-        ~guest:(find sh.to_domain) ~vbase:sh.region.vbase
-        ~pages:sh.region.pages ~guest_vbase:sh.at_vbase)
-    s.shared;
-  { sys_kernel = k; by_name }
-
-let kernel t = t.sys_kernel
-
-let lookup t name =
-  match List.assoc_opt name t.by_name with
-  | Some entry -> entry
-  | None -> invalid_arg ("System: unknown domain " ^ name)
-
-let domain_named t name = fst (lookup t name)
-let threads_of t name = snd (lookup t name)
-
-let run ?max_steps t = Kernel.run ?max_steps t.sys_kernel
-
-let observations t name =
-  List.map Thread.observations (threads_of t name)
+    (fun (core, order) ->
+      match Kernel.set_schedule k ~core order with
+      | Ok () -> ()
+      | Error e -> invalid_arg ("System.build: " ^ Sched.error_to_string e))
+    s.schedules;
+  (match s.tweak with Some f -> f k | None -> ());
+  let observers =
+    List.concat
+      (List.map2
+         (fun ds dom ->
+           let ths = List.map (fun p -> Kernel.spawn k dom p) ds.programs in
+           if ds.observer then ths else [])
+         s.domains doms)
+  in
+  { Nonint.kernel = k; observers }

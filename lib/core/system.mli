@@ -1,72 +1,67 @@
-(** Declarative system construction.
+(** One system description.
 
-    The kernel API builds systems imperatively (create domain, map
-    region, spawn, ...); this module lets a user describe the whole
-    system — machine, protection configuration, domains with their
-    memory, threads, interrupts and shared regions — as one value, and
-    builds it in a single call.  Domains are addressed by name
-    afterwards.
+    The paper's theorem (Sect. 5) is a statement about a system: domains
+    with their cores, colours, slices, pad attributes, memory, threads
+    and interrupts, and per-core schedules, over one abstract machine.
+    A {!spec} describes such a system as one value and {!build} boots
+    it.  The standard scenario ({!Ni_scenario}), the three-domain
+    mutual-NI system ({!Mutual}), fuzzed scenarios and topologies are
+    all specs. *)
 
-    Padding attributes may be left out, in which case the WCET analysis
-    ({!Wcet.recommended_pad}) supplies a provably sufficient value. *)
-
-open Tpro_hw
 open Tpro_kernel
+open Tpro_secmodel
 
-type region = { vbase : int; pages : int }
-
-type domain_spec = {
-  name : string;
-  core : int;              (** default 0 *)
+type domain = {
+  core : int option;       (** hosting core ([None] = kernel default) *)
+  n_colours : int option;  (** colour budget ([None] = kernel default) *)
   slice : int;
-  pad : int option;        (** [None]: use the WCET analysis *)
-  n_colours : int;         (** default 1 *)
-  regions : region list;
-  programs : Program.t list;  (** one thread per program *)
-  irqs : int list;         (** interrupt sources this domain owns *)
+  pad_cycles : int;
+  regions : (int * int) list;  (** [(vbase, pages)] to back, in order *)
+  programs : Program.t list;   (** threads to spawn, in order *)
+  irqs : int list;             (** IRQ lines this domain owns *)
+  observer : bool;  (** include this domain's threads in the run's observers *)
+}
+
+type spec = {
+  machine : Tpro_hw.Machine.config;
+  cfg : Kernel.config;
+  n_endpoints : int option;
+  n_irqs : int option;
+  schedules : (int * int array) list;
+      (** [(core, order)] replacing that core's creation-order schedule *)
+  domains : domain list;
+  tweak : (Kernel.t -> unit) option;
+      (** runs after boot-time configuration, before any thread is
+          spawned — the hook used e.g. to plant a miscoloured frame *)
 }
 
 val domain :
   ?core:int ->
-  ?pad:int ->
   ?n_colours:int ->
-  ?regions:region list ->
+  ?regions:(int * int) list ->
+  ?programs:Program.t list ->
   ?irqs:int list ->
-  name:string ->
+  ?observer:bool ->
   slice:int ->
-  Program.t list ->
-  domain_spec
-
-type sharing = {
-  from_domain : string;
-  to_domain : string;
-  region : region;     (** must be one of [from_domain]'s regions *)
-  at_vbase : int;
-}
-
-type spec = {
-  machine : Machine.config;
-  protection : Kernel.config;
-  domains : domain_spec list;
-  shared : sharing list;
-}
+  pad_cycles:int ->
+  unit ->
+  domain
 
 val spec :
-  ?machine:Machine.config ->
-  ?shared:sharing list ->
-  protection:Kernel.config ->
-  domain_spec list ->
+  ?n_endpoints:int ->
+  ?n_irqs:int ->
+  ?schedules:(int * int array) list ->
+  ?tweak:(Kernel.t -> unit) ->
+  machine:Tpro_hw.Machine.config ->
+  cfg:Kernel.config ->
+  domain list ->
   spec
 
-type t
-
-val build : spec -> t
-(** Boots the kernel, creates everything in order, applies sharing.
-    Raises [Invalid_argument] on duplicate or unknown domain names. *)
-
-val kernel : t -> Kernel.t
-val domain_named : t -> string -> Domain.t
-val threads_of : t -> string -> Thread.t list
-val run : ?max_steps:int -> t -> unit
-val observations : t -> string -> Tpro_kernel.Event.obs list list
-(** Observation trace of each of the named domain's threads. *)
+val build : spec -> Nonint.run
+(** Boot a kernel from [spec], phase by phase: create every domain (in
+    list order — colour and clone assignment follow creation order), map
+    every region, install IRQ owners then schedules, run [tweak], then
+    spawn all programs domain-major.  The run's observers are the
+    threads of the [observer]-flagged domains.  Raises
+    [Invalid_argument] on an invalid schedule (see
+    {!Kernel.set_schedule}). *)

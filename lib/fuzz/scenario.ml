@@ -3,7 +3,7 @@ open Tpro_kernel
 open Tpro_channel
 module Presets = Time_protection.Presets
 module Wcet = Time_protection.Wcet
-module Ni_scenario = Time_protection.Ni_scenario
+module System = Time_protection.System
 
 (* Replay-file format version for {!to_string}/{!of_string}.  Version 1
    is the flat two-domain scenario; version 2 is [Topology]'s N-domain
@@ -181,14 +181,14 @@ let build_ni s ~secret =
       Some (fun k -> miscolour_remap k ~victim:0 ~thief:1 ~vbase:hi_buf)
     | No_mutant | Skip_flush | Drop_padding -> None
   in
-  Ni_scenario.build_spec
-    (Ni_scenario.spec ~machine:mc ~cfg:(kernel_config s) ?tweak
+  System.build
+    (System.spec ~machine:mc ~cfg:(kernel_config s) ?tweak
        [
-         Ni_scenario.domain_spec ~slice:s.slice ~pad_cycles:pad
+         System.domain ~slice:s.slice ~pad_cycles:pad
            ~regions:[ (hi_buf, hi_pages) ]
            ~programs:[ hi_program s ~secret ]
            ~irqs:[ 1 ] ();
-         Ni_scenario.domain_spec ~slice:s.slice ~pad_cycles:pad
+         System.domain ~slice:s.slice ~pad_cycles:pad
            ~regions:[ (lo_buf, lo_pages) ]
            ~programs:[ lo_program s ] ~observer:true ();
        ])

@@ -84,12 +84,12 @@ val lo_program : t -> Program.t
 val miscolour_remap : Kernel.t -> victim:int -> thief:int -> vbase:int -> unit
 (** Remap [victim]'s page at [vbase] onto a frame of [thief]'s first
     colour — the allocator bug that page colouring exists to rule out.
-    Used as a {!Time_protection.Ni_scenario.spec} tweak by the
+    Used as a {!Time_protection.System.spec} tweak by the
     [Miscolour] mutant here and by [Topology]'s pair-targeted variant. *)
 
 val build_ni : t -> secret:int -> Nonint.run
 (** Boot a kernel for the scenario (applying the mutant) and spawn the
-    Hi/Lo pair — now a two-domain {!Time_protection.Ni_scenario.spec}. *)
+    Hi/Lo pair, a two-domain {!Time_protection.System.spec}. *)
 
 val generate : seed:int -> ?mutant:mutant -> int -> t
 (** [generate ~seed idx] — deterministic: equal arguments give equal

@@ -4,7 +4,7 @@ open Tpro_secmodel
 open Tpro_channel
 module Presets = Time_protection.Presets
 module Wcet = Time_protection.Wcet
-module Ni_scenario = Time_protection.Ni_scenario
+module System = Time_protection.System
 
 (* Replay-file format version (see {!Scenario.format_version}): topology
    files are format 2 — the same [key value] line shape, with repeated
@@ -362,7 +362,7 @@ let build t ~vary ~secret =
     List.map
       (fun d ->
         let ds = t.domains.(d) in
-        Ni_scenario.domain_spec ~core:ds.d_core ~n_colours:ds.d_colours
+        System.domain ~core:ds.d_core ~n_colours:ds.d_colours
           ~regions:[ (buf d, ds.d_pages) ]
           ~programs:
             [ program t d ~secret:(if d = vary then secret else t.secret_a) ]
@@ -382,8 +382,8 @@ let build t ~vary ~secret =
       None
   in
   let run =
-    Ni_scenario.build_spec
-      (Ni_scenario.spec
+    System.build
+      (System.spec
          ~n_endpoints:(max 4 (List.length t.ipc))
          ~n_irqs:(n + 1) ~schedules:t.scheds ?tweak ~machine:mc
          ~cfg:(kernel_config t) specs)

@@ -18,7 +18,7 @@ let small_universe =
   }
 
 let build cfg ~hi_prog ~seed =
-  Ni_scenario.build_with_program ~cfg ~seed ~hi_prog
+  Ni_scenario.build_with_program_on ~with_btb:false ~cfg ~seed ~hi_prog
 
 let test_enumerate_complete () =
   let programs = Exhaustive.enumerate small_universe in

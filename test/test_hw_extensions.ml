@@ -1,5 +1,4 @@
 open Tpro_hw
-open Tpro_kernel
 open Tpro_channel
 open Time_protection
 
@@ -56,23 +55,9 @@ let test_ni_holds_under_all_policies () =
   List.iter
     (fun repl ->
       let build ~secret =
-        let base = Ni_scenario.build ~cfg:Presets.full ~seed:0 ~secret in
-        ignore base;
-        (* rebuild with the policy in the machine config *)
-        let machine_config =
-          { (Ni_scenario.machine_config ~seed:0) with Machine.replacement = repl }
-        in
-        let k = Kernel.create ~machine_config Presets.full in
-        let hi = Kernel.create_domain k ~slice:Ni_scenario.slice
-            ~pad_cycles:Ni_scenario.pad () in
-        let lo = Kernel.create_domain k ~slice:Ni_scenario.slice
-            ~pad_cycles:Ni_scenario.pad () in
-        Kernel.map_region k hi ~vbase:0x4000_0000 ~pages:32;
-        Kernel.map_region k lo ~vbase:0x2000_0000 ~pages:4;
-        Kernel.set_irq_owner k ~irq:1 ~dom:hi;
-        ignore (Kernel.spawn k hi (Ni_scenario.hi_program ~secret));
-        let obs = Kernel.spawn k lo Ni_scenario.observer in
-        { Tpro_secmodel.Nonint.kernel = k; observers = [ obs ] }
+        let s = Ni_scenario.classic ~with_btb:false ~cfg:Presets.full ~seed:0 ~secret in
+        System.build
+          { s with System.machine = { s.System.machine with Machine.replacement = repl } }
       in
       let report =
         let open Tpro_secmodel.Nonint in

@@ -305,16 +305,16 @@ let test_sweep_matches_lockstep_presets () =
 (* Lo runs [5 * secret] more instructions before it halts, so the run
    with the smaller secret quiesces first: a progress divergence. *)
 let build_planted ~secret =
-  Ni_scenario.build_spec
-    (Ni_scenario.spec
+  System.build
+    (System.spec
        ~machine:(Ni_scenario.machine_config ~seed)
        ~cfg:Presets.full
        [
-         Ni_scenario.domain_spec ~slice:Ni_scenario.slice
+         System.domain ~slice:Ni_scenario.slice
            ~pad_cycles:Ni_scenario.pad
            ~programs:[ [| Program.Compute 400; Program.Halt |] ]
            ();
-         Ni_scenario.domain_spec ~slice:Ni_scenario.slice
+         System.domain ~slice:Ni_scenario.slice
            ~pad_cycles:Ni_scenario.pad
            ~programs:
              [

@@ -205,7 +205,7 @@ let exhaustive_result_testable =
     ( = )
 
 let exhaustive_build ~cfg ~hi_prog ~seed =
-  Time_protection.Ni_scenario.build_with_program ~cfg ~seed ~hi_prog
+  Time_protection.Ni_scenario.build_with_program_on ~with_btb:false ~cfg ~seed ~hi_prog
 
 let test_pooled_check_matches_check () =
   List.iter
