@@ -295,7 +295,7 @@ let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
             | f :: _ ->
               Format.printf "fuzz: %d violation(s) in %d trials (seed %d)@.%a@."
                 (List.length c.failures) trials seed pp_failure f;
-              Tpro_fuzz.Scenario.save out f.shrunk;
+              Tpro_fuzz.Scenario.save out (fst (Lazy.force f.shrunk));
               Format.printf
                 "shrunk counterexample written to %s (replay with: tpro fuzz \
                  --replay %s)@."

@@ -5,8 +5,7 @@ module Campaign = Tpro_engine.Campaign
 type failure = {
   scenario : Scenario.t;
   message : string;
-  shrunk : Scenario.t;
-  shrunk_message : string;
+  shrunk : (Scenario.t * string) Lazy.t;
 }
 
 let check_one s =
@@ -14,12 +13,17 @@ let check_one s =
   | Oracle.Pass -> None
   | Oracle.Fail m -> Some (s, m)
 
-let shrink_failure (s, m) =
-  let shrunk = Shrink.minimise Oracle.check s in
-  let shrunk_message =
-    match Oracle.check shrunk with Oracle.Fail m' -> m' | Oracle.Pass -> m
+(* Shrinking costs up to 60 oracle runs, and a campaign under a mutant
+   fails every trial while only the first failure is printed: the
+   shrink runs when a failure is first rendered or saved. *)
+let failure (s, m) =
+  let shrink () =
+    let shrunk = Shrink.minimise Oracle.check s in
+    match Oracle.check shrunk with
+    | Oracle.Fail m' -> (shrunk, m')
+    | Oracle.Pass -> (shrunk, m)
   in
-  { scenario = s; message = m; shrunk; shrunk_message }
+  { scenario = s; message = m; shrunk = Lazy.from_fun shrink }
 
 let map_trials ?pool f idxs =
   match pool with Some p -> Pool.map p f idxs | None -> List.map f idxs
@@ -27,7 +31,7 @@ let map_trials ?pool f idxs =
 let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
   let f i = check_one (Scenario.generate ~seed ~mutant i) in
   map_trials ?pool f (List.init trials Fun.id)
-  |> List.filter_map Fun.id |> List.map shrink_failure
+  |> List.filter_map Fun.id |> List.map failure
 
 (* First trial within [budget] for which [f] answers [Some], scanning in
    blocks so a pool can be used without losing the early exit.  Returns
@@ -48,15 +52,15 @@ let first_in_blocks ?pool ~budget f =
 let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
   first_in_blocks ?pool ~budget (fun i ->
       check_one (Scenario.generate ~seed ~mutant i))
-  |> Option.map (fun (used, fail) -> (used, shrink_failure fail))
+  |> Option.map (fun (used, fail) -> (used, failure fail))
 
 (* ------------------------------------------------------------------ *)
 (* Supervised campaigns: one {!Campaign} task per trial index, whose
    result is the oracle's verdict.  Every scenario regenerates
    deterministically from its index, so a resumed campaign's report —
    shrunk counterexamples included — is bit-identical to an
-   uninterrupted run.  Shrinking is deferred to the end for the same
-   reason. *)
+   uninterrupted run.  Shrinking happens outside the campaign, when a
+   failure is first rendered or saved, for the same reason. *)
 
 let verdict_codec =
   {
@@ -133,7 +137,7 @@ let campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
   {
     failures =
       List.map
-        (fun (i, m) -> shrink_failure (Scenario.generate ~seed ~mutant i, m))
+        (fun (i, m) -> failure (Scenario.generate ~seed ~mutant i, m))
         failing;
     trials;
     resumed_from = o.Campaign.resumed;
@@ -215,6 +219,7 @@ let pp_topo_failure ppf f =
     Topology.pp f.topology
 
 let pp_failure ppf f =
+  let shrunk, shrunk_message = Lazy.force f.shrunk in
   Format.fprintf ppf "@[<v>violation: %s@ scenario: %a@ shrunk to: %a@ \
                       shrunk violation: %s@]"
-    f.message Scenario.pp f.scenario Scenario.pp f.shrunk f.shrunk_message
+    f.message Scenario.pp f.scenario Scenario.pp shrunk shrunk_message

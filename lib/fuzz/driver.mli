@@ -2,14 +2,16 @@
 
     Trials are independent (each builds fresh kernels), so they fan out
     over a {!Tpro_engine.Pool} with bit-identical results to the
-    sequential path.  Every failure is minimised with {!Shrink.minimise}
-    before being reported, ready to be persisted as a replay file. *)
+    sequential path.  A failure is minimised with {!Shrink.minimise}
+    when it is first rendered or saved, ready to be persisted as a
+    replay file; failures nobody looks at are never shrunk. *)
 
 type failure = {
   scenario : Scenario.t;  (** the originally failing scenario *)
   message : string;
-  shrunk : Scenario.t;  (** minimised, still failing *)
-  shrunk_message : string;
+  shrunk : (Scenario.t * string) Lazy.t;
+      (** minimised, still failing, with its violation; forced by
+          {!pp_failure}.  Force it from one OCaml domain at a time. *)
 }
 
 val run :
@@ -19,8 +21,8 @@ val run :
   trials:int ->
   unit ->
   failure list
-(** Run trials [0 .. trials-1] of [seed]; shrink and report every
-    failure.  Empty list = zero oracle violations. *)
+(** Run trials [0 .. trials-1] of [seed]; report every failure.  Empty
+    list = zero oracle violations. *)
 
 val first_failure :
   ?pool:Tpro_engine.Pool.t ->
@@ -65,7 +67,7 @@ type task_failure = {
     rather than hides. *)
 
 type campaign = {
-  failures : failure list;  (** shrunk oracle violations, trial order *)
+  failures : failure list;  (** oracle violations, trial order *)
   trials : int;
   resumed_from : int;  (** trials restored from a checkpoint; 0 = fresh *)
   task_failures : task_failure list;
@@ -88,12 +90,14 @@ val campaign :
     [?checkpoint] is given.  With [~resume:true] the snapshot is
     restored first; a trial lost to a supervised failure was never
     recorded, so it runs again.  The final {!campaign} value —
-    violations, shrunk counterexamples, lost trials — is bit-identical
-    to an uninterrupted run's.  A damaged checkpoint, or one written for
+    violations, their shrunk counterexamples, lost trials — is
+    bit-identical to an uninterrupted run's.  A damaged checkpoint, or one written for
     another seed or mutant, is rejected with a note and the campaign
     restarts from scratch. *)
 
 val pp_failure : Format.formatter -> failure -> unit
+(** Renders the failure with its shrunk counterexample, shrinking it on
+    first use. *)
 
 (** {2 Topology campaigns}
 

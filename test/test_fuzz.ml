@@ -181,15 +181,16 @@ let check_mutant_killed ?messages mutant =
          (Scenario.mutant_to_string mutant)
          used)
       true (used <= 1_000);
+    let shrunk, shrunk_violation = Lazy.force f.Driver.shrunk in
     Option.iter
       (fun (message, shrunk_message) ->
         Alcotest.(check string) "violation message" message f.Driver.message;
         Alcotest.(check string) "shrunk violation message" shrunk_message
-          f.Driver.shrunk_message)
+          shrunk_violation)
       messages;
     Alcotest.(check bool) "shrunk scenario did not grow" true
-      (Scenario.size f.Driver.shrunk <= Scenario.size f.Driver.scenario);
-    (match Oracle.check f.Driver.shrunk with
+      (Scenario.size shrunk <= Scenario.size f.Driver.scenario);
+    (match Oracle.check shrunk with
     | Oracle.Fail _ -> ()
     | Oracle.Pass -> Alcotest.fail "shrunk counterexample no longer fails");
     (* the replay file reproduces the violation *)
@@ -197,7 +198,7 @@ let check_mutant_killed ?messages mutant =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        Scenario.save path f.Driver.shrunk;
+        Scenario.save path shrunk;
         match Scenario.load path with
         | Ok s -> (
           match Oracle.check s with
@@ -587,6 +588,21 @@ let test_two_domain_instance () =
   | Oracle.Pass -> ()
   | Oracle.Fail m -> Alcotest.failf "2-domain instance fails: %s" m
 
+(* Under a mutant every trial fails, but only the reported failure is
+   shrunk: a campaign shrinks nothing, and rendering one failure shrinks
+   that one alone. *)
+let test_shrink_on_render () =
+  let c =
+    Tpro_engine.Supervisor.with_supervisor ~domains:1 (fun sup ->
+        Driver.campaign ~sup ~mutant:Scenario.Drop_padding ~seed:42 ~trials:3 ())
+  in
+  let shrunk () = List.map (fun f -> Lazy.is_val f.Driver.shrunk) c.Driver.failures in
+  Alcotest.(check (list bool)) "campaign shrinks nothing" [ false; false; false ]
+    (shrunk ());
+  ignore (Format.asprintf "%a" Driver.pp_failure (List.hd c.Driver.failures));
+  Alcotest.(check (list bool)) "rendering shrinks the rendered failure"
+    [ true; false; false ] (shrunk ())
+
 let suite =
   [
     Alcotest.test_case "generation is deterministic" `Quick
@@ -638,4 +654,6 @@ let suite =
       test_legacy_skip_flush_pinned;
     Alcotest.test_case "replay parse errors are typed" `Quick
       test_parse_errors_typed;
+    Alcotest.test_case "only a rendered failure is shrunk" `Quick
+      test_shrink_on_render;
   ]
