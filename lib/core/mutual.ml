@@ -85,7 +85,7 @@ let check ?(seeds = [ 0; 1 ]) ?(secret_values = [ 0; 1; 2 ]) ~cfg () =
     "no domain's secret influences any other domain's observations, for \
      every choice of which domain holds the secret"
   in
-  match !violations with
+  match List.rev !violations with
   | [] ->
     {
       Proofs.name;

@@ -141,13 +141,15 @@ let noninterference comparisons =
     }
 
 let invariants_throughout k =
-  let violations = ref [] in
+  let first = ref None and violations = ref 0 in
   let states_checked = ref 0 and steps = ref 0 in
   let check () =
     incr states_checked;
     match Invariant.check_all k with
     | [] -> ()
-    | vs -> violations := vs @ !violations
+    | v :: _ as vs ->
+      if !first = None then first := Some v;
+      violations := !violations + List.length vs
   in
   check ();
   let on_step n =
@@ -159,17 +161,17 @@ let invariants_throughout k =
     {
       name = "invariants";
       description = "partitioning invariants hold in every reachable state";
-      holds = !violations = [];
+      holds = !first = None;
       detail =
-        (match !violations with
-        | [] ->
+        (match !first with
+        | None ->
           Stats
             (Printf.sprintf "%d states checked over %d steps, no violation"
                !states_checked !steps)
-        | v :: _ ->
+        | Some v ->
           Counter_example
-            (Format.asprintf "%d violations; first: %a"
-               (List.length !violations) Invariant.pp_violation v));
+            (Format.asprintf "%d violations; first: %a" !violations
+               Invariant.pp_violation v));
     }
   in
   (on_step, verdict)
@@ -177,7 +179,7 @@ let invariants_throughout k =
 let across_seeds ~seeds f =
   match seeds with
   | [] -> invalid_arg "Proofs.across_seeds: no seeds"
-  | first :: _ ->
+  | _ :: _ ->
     let results = List.map (fun seed -> (seed, f ~seed)) seeds in
     let template = snd (List.hd results) in
     (match List.find_opt (fun (_, c) -> not c.holds) results with
@@ -190,7 +192,6 @@ let across_seeds ~seeds f =
                (detail_text c.detail));
       }
     | None ->
-      ignore first;
       {
         template with
         detail =

@@ -394,6 +394,24 @@ let test_execute_traces_observers () =
         (Thread.cost_trace th <> []))
     run.Nonint.observers
 
+(* A frame of Lo's colour planted in Hi's buffer before boot: the first
+   check, on the booted kernel, finds only the foreign frame; the
+   colour-partition violations it causes come later.  The verdict must
+   name the earliest violation. *)
+let test_invariants_first_violation () =
+  let s = Ni_scenario.classic ~with_btb:false ~cfg:Presets.full ~seed:0 ~secret:3 in
+  let hi_buf = fst (List.hd (List.hd s.System.domains).System.regions) in
+  let tweak k = Tpro_fuzz.Scenario.miscolour_remap k ~victim:0 ~thief:1 ~vbase:hi_buf in
+  let k = (System.build { s with System.tweak = Some tweak }).Nonint.kernel in
+  let on_step, verdict = Proofs.invariants_throughout k in
+  Kernel.run ~on_step k;
+  let c = verdict () in
+  Alcotest.(check bool) "invariants violated" false c.Proofs.holds;
+  let detail = Proofs.detail_text c.Proofs.detail in
+  let first = "first: [frame-ownership] domain 0 maps frame 22 of foreign colour 2" in
+  Alcotest.(check bool) (detail ^ " names the frame-ownership violation") true
+    (String.ends_with ~suffix:first detail)
+
 let suite =
   [
     Alcotest.test_case "full is secure" `Quick test_full_is_secure;
@@ -432,4 +450,6 @@ let suite =
       test_sweep_matches_lockstep_lo_dom;
     Alcotest.test_case "sweep == lockstep: kernel-step budget" `Quick
       test_sweep_matches_lockstep_budget;
+    Alcotest.test_case "invariants name the first violation" `Quick
+      test_invariants_first_violation;
   ]
