@@ -45,7 +45,7 @@ let () =
     System.domain ?regions ?observer ~slice:12_000 ~pad_cycles:recommended
       ~programs:[ program ] ()
   in
-  let run =
+  let { Tpro_secmodel.Nonint.kernel = k; observers } =
     System.build
       (System.spec ~machine:Machine.default_config ~cfg:Presets.full
          [
@@ -54,10 +54,9 @@ let () =
            domain ~regions:[ (buf, 1) ] ~observer:true logger;
          ])
   in
-  let k = run.Tpro_secmodel.Nonint.kernel in
   Kernel.run k;
   Format.printf "pipeline completed: %b@.@." (Kernel.all_halted k);
-  (match run.Tpro_secmodel.Nonint.observers with
+  (match observers with
   | [ logger ] ->
     Format.printf "logger saw: %a@.@."
       (Format.pp_print_list ~pp_sep:(fun p () -> Format.pp_print_string p ", ")

@@ -7,9 +7,9 @@
     and branches across several of its slices.  Noninterference demands
     Lo's complete view be identical for every secret.
 
-    The scenarios are {!System.spec} values: {!classic} is the one the
-    proofs, experiments and fuzz checks run; {!compact} is the
-    exhaustive checker's small variant.  The [build*] functions boot
+    The scenarios are {!System.spec} values: {!classic} is the one
+    [tpro verify], [tpro prove] and the experiments run; {!compact} is
+    the exhaustive checker's small variant.  The [build*] functions boot
     them. *)
 
 open Tpro_kernel
