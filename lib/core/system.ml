@@ -37,10 +37,10 @@ let spec ?n_endpoints ?n_irqs ?(schedules = []) ?tweak ~machine ~cfg domains =
    exists yet), and only then are threads spawned domain-major (each
    spawn allocates its code frames, so with colouring off every region
    frame sits below every code frame). *)
-let build s =
+let build ?machine s =
   let k =
-    Kernel.create ~machine_config:s.machine ?n_endpoints:s.n_endpoints
-      ?n_irqs:s.n_irqs s.cfg
+    Kernel.create ~machine_config:s.machine ?machine
+      ?n_endpoints:s.n_endpoints ?n_irqs:s.n_irqs s.cfg
   in
   let doms =
     List.map

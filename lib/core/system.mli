@@ -57,11 +57,13 @@ val spec :
   domain list ->
   spec
 
-val build : spec -> Nonint.run
+val build : ?machine:Tpro_hw.Machine.t -> spec -> Nonint.run
 (** Boot a kernel from [spec], phase by phase: create every domain (in
     list order — colour and clone assignment follow creation order), map
     every region, install IRQ owners then schedules, run [tweak], then
     spawn all programs domain-major.  The run's observers are the
-    threads of the [observer]-flagged domains.  Raises
+    threads of the [observer]-flagged domains.  With [~machine], the
+    kernel boots on that machine, reset, instead of a fresh one (see
+    {!Kernel.create}); its configuration must be [spec]'s.  Raises
     [Invalid_argument] on an invalid schedule (see
     {!Kernel.set_schedule}). *)

@@ -92,39 +92,47 @@ let lemma_of_report = function
   | { Nonint.trap_costs = Some _; _ } -> "kernel:trap"
   | _ -> "kernel:noninterference"
 
-(* Post-run flushable audit across two runs' machines, all cores: after
-   a final core-local flush, every flushable resource's digest must be
+(* Every core's flushable resources and their digests after a final
+   core-local flush, in registry order.  A core's flush resets only its
+   own resources (an SMT pair's shared ones twice, idempotently), so
+   flushing core by core is the same as flushing all cores first.
+   Mutates (flushes) the machine — take it after every other digest. *)
+let flushed_digests m =
+  Array.init (Machine.n_cores m) (fun core ->
+      let (_ : int) = Machine.flush_core_local m ~core in
+      List.filter_map
+        (fun r ->
+          if Resource.flushable r then Some (Resource.name r, Resource.digest r)
+          else None)
+        (Machine.core_resources m ~core))
+
+(* Post-run flushable audit across two runs, all cores: after a final
+   core-local flush, every flushable resource's digest must be
    secret-independent (flushing really erased Hi's footprint — raw final
    digests are legitimately secret-dependent, Hi owns them).  Per
    resource, since Hi may have run on a core the Lo-view sweep never
-   looks at.  Mutates both machines (flushes them) — call after every
-   digest-based comparison. *)
-let flush_audit ?vary ma mb =
-  let fail = ref Pass in
-  for core = 0 to Machine.n_cores ma - 1 do
-    let (_ : int) = Machine.flush_core_local ma ~core in
-    let (_ : int) = Machine.flush_core_local mb ~core in
-    if !fail = Pass then
-      List.iter2
-        (fun res_a res_b ->
-          if
-            !fail = Pass
-            && Resource.flushable res_a
-            && Resource.digest res_a <> Resource.digest res_b
-          then
-            fail :=
-              failf
-                "lemma flush:%s refuted%s: core %d: %s digest differs across \
-                 secrets after a final flush (un-reset flushable state)"
-                (Resource.name res_a)
-                (match vary with
-                | None -> ""
-                | Some v -> Printf.sprintf " (vary domain %d)" v)
-                core (Resource.name res_a))
-        (Machine.core_resources ma ~core)
-        (Machine.core_resources mb ~core)
-  done;
-  !fail
+   looks at.  The first differing core, then resource, is blamed. *)
+let flush_audit ?vary fa fb =
+  let rec from core =
+    if core >= Array.length fa then Pass
+    else
+      match
+        List.find_opt
+          (fun ((_, da), (_, db)) -> da <> db)
+          (List.combine fa.(core) fb.(core))
+      with
+      | Some ((name, _), _) ->
+        failf
+          "lemma flush:%s refuted%s: core %d: %s digest differs across \
+           secrets after a final flush (un-reset flushable state)"
+          name
+          (match vary with
+          | None -> ""
+          | Some v -> Printf.sprintf " (vary domain %d)" v)
+          core name
+      | None -> from (core + 1)
+  in
+  from 0
 
 let lo_llc_digest m (lo : Domain.t) =
   Cache.digest_colours (Machine.llc m) ~page_bits:(Machine.page_bits m)
@@ -164,7 +172,9 @@ let check_nonint s =
     else
       let flushed =
         if cfg.Kernel.flush_on_switch then
-          flush_audit (Kernel.machine ka) (Kernel.machine kb)
+          flush_audit
+            (flushed_digests (Kernel.machine ka))
+            (flushed_digests (Kernel.machine kb))
         else Pass
       in
       if flushed <> Pass then flushed
@@ -302,33 +312,51 @@ let check (s : Scenario.t) =
    ordered (varied, observer) domain pair must satisfy noninterference.
    The workhorse trick is baseline sharing — [Topology.build t ~vary:v
    ~secret:t.secret_a] is the same global system for every [v] — so the
-   whole check costs N+3 executions, not N·(N−1)·2:
+   whole check costs at most N+3 executions, not N·(N−1)·2:
 
    - one deep unwinding sweep on the topology's focus pair (Lo-view
      comparison at every boundary, lemma-attributed), whose baseline
      run is reused as *the* baseline;
    - one varied execution per remaining domain;
-   - two extra executions for the capacity probe.
+   - up to two extra executions for the capacity probe.
 
-   Non-focus pairs are checked from recorded evidence (observation and
-   cost traces restricted to the observer domain via [Nonint.view_from],
-   plus the observer-coloured LLC digest); only a divergent pair is
-   re-swept to name the lemma it refutes.  Failure messages name the
-   pair: "pair (hi=v, lo=o): lemma L refuted ...". *)
+   Each run is summarised as soon as it ends, so the sweep's second
+   machine can be reset to boot every later run: a check creates two
+   machines.  Non-focus pairs are checked from the summaries
+   (observation and cost traces of the observer domain's threads, plus
+   its LLC-colour digest); only a divergent pair is re-swept to name the
+   lemma it refutes.  Failure messages name the pair: "pair (hi=v,
+   lo=o): lemma L refuted ...". *)
 
-(* One (varied, observer) pair from recorded evidence; on divergence,
-   re-sweep the pair in isolation to name the refuted lemma. *)
-let check_topology_pair_runs (t : Topology.t) ~vary ~obs r_base r_v =
-  let rep =
-    Nonint.compare_runs
-      (Nonint.view_from r_base ~dom:obs)
-      (Nonint.view_from r_v ~dom:obs)
+(* What the oracle keeps of one finished run: every domain's threads
+   (their traces outlive the machine), every domain's LLC-colour digest
+   under colouring, and every core's flushed digests under
+   flush_on_switch. *)
+type summary = {
+  threads : Thread.t list array;
+  llc : int64 array;
+  flushed : (string * int64) list array;
+}
+
+let summarise (run : Nonint.run) =
+  let k = run.Nonint.kernel in
+  let m = Kernel.machine k and cfg = Kernel.config k in
+  let doms = Array.of_list (Kernel.domains k) in
+  let llc =
+    if cfg.Kernel.colouring then Array.map (lo_llc_digest m) doms else [||]
   in
-  let ka = r_base.Nonint.kernel and kb = r_v.Nonint.kernel in
+  let flushed =
+    if cfg.Kernel.flush_on_switch then flushed_digests m else [||]
+  in
+  { threads = Array.map Domain.threads doms; llc; flushed }
+
+(* One (varied, observer) pair from two summaries; on divergence,
+   re-sweep the pair in isolation to name the refuted lemma. *)
+let check_topology_pair_summaries (t : Topology.t) ~vary ~obs base s_v =
+  let rep = Nonint.compare_threads base.threads.(obs) s_v.threads.(obs) in
   let partition_breached =
-    (Kernel.config ka).Kernel.colouring
-    && lo_llc_digest (Kernel.machine ka) (Kernel.domain ka obs)
-       <> lo_llc_digest (Kernel.machine kb) (Kernel.domain kb obs)
+    (Topology.kernel_config t).Kernel.colouring
+    && base.llc.(obs) <> s_v.llc.(obs)
   in
   if Nonint.secure rep && not partition_breached then Pass
   else
@@ -359,20 +387,20 @@ let check_topology_pair_runs (t : Topology.t) ~vary ~obs r_base r_v =
    for targeted pair checks in tests and replay diagnostics. *)
 let check_topology_pair (t : Topology.t) ~vary ~obs =
   let run secret =
-    Nonint.execute
-      ~max_steps:(Topology.max_steps t)
-      (fun ~secret -> Topology.build t ~vary ~secret)
-      secret
+    summarise
+      (Nonint.execute
+         ~max_steps:(Topology.max_steps t)
+         (fun ~secret -> Topology.build t ~vary ~secret)
+         secret)
   in
-  let r_base = run t.Topology.secret_a in
-  check_topology_pair_runs t ~vary ~obs r_base (run t.Topology.secret_b)
+  let base = run t.Topology.secret_a in
+  check_topology_pair_summaries t ~vary ~obs base (run t.Topology.secret_b)
 
 (* Capacity probe: the per-topology end-to-end leakage bound.  Samples
    map the varied domain's secret to a digest of the observer domain's
    complete observation trace; under full protection the distribution
    must carry 0 bits. *)
-let obs_symbol run ~obs =
-  let ths = Domain.threads (Kernel.domain run.Nonint.kernel obs) in
+let obs_symbol ths =
   let s =
     Format.asprintf "%a"
       (Format.pp_print_list Observation.pp)
@@ -386,64 +414,58 @@ let check_topology (t : Topology.t) =
   guarded @@ fun () ->
   let n = Topology.n_domains t in
   let fv = t.Topology.deep_hi and fo = t.Topology.deep_lo in
+  let sa = t.Topology.secret_a and sb = t.Topology.secret_b in
   let ms = Topology.max_steps t in
   let sw =
     Unwinding.sweep_pair ~max_kernel_steps:ms ~lo_dom:fo
       ~build:(Topology.build t ~vary:fv)
-      ~secret1:t.Topology.secret_a ~secret2:t.Topology.secret_b ()
+      ~secret1:sa ~secret2:sb ()
   in
-  match
-    sweep_failure ~pair:(fv, fo)
-      ~secrets:(t.Topology.secret_a, t.Topology.secret_b)
-      sw
-  with
+  match sweep_failure ~pair:(fv, fo) ~secrets:(sa, sb) sw with
   | Some fail -> fail
   | None ->
-    let r_base = sw.Unwinding.run_a in
-    let runs = Array.make n sw.Unwinding.run_b in
+    let base = summarise sw.Unwinding.run_a in
+    let varied = Array.make n (summarise sw.Unwinding.run_b) in
+    let machine = Kernel.machine sw.Unwinding.run_b.Nonint.kernel in
+    let execute ~vary secret =
+      Nonint.execute ~max_steps:ms
+        (fun ~secret -> Topology.build ~machine t ~vary ~secret)
+        secret
+    in
     for v = 0 to n - 1 do
-      if v <> fv then
-        runs.(v) <-
-          Nonint.execute ~max_steps:ms
-            (fun ~secret -> Topology.build t ~vary:v ~secret)
-            t.Topology.secret_b
+      if v <> fv then varied.(v) <- summarise (execute ~vary:v sb)
     done;
     let verdict = ref Pass in
     List.iter
       (fun (v, o) ->
         if !verdict = Pass then
-          verdict := check_topology_pair_runs t ~vary:v ~obs:o r_base runs.(v))
+          verdict :=
+            check_topology_pair_summaries t ~vary:v ~obs:o base varied.(v))
       (Topology.pairs t);
-    (* Machine-level flushable audit last: it flushes the machines, so
-       every digest-based comparison above must already be done.  The
-       baseline machine is flushed once per varied run — idempotent
-       after the first. *)
     if !verdict = Pass && (Topology.kernel_config t).Kernel.flush_on_switch
-    then begin
-      let ma = Kernel.machine r_base.Nonint.kernel in
+    then
       for v = 0 to n - 1 do
         if !verdict = Pass then
-          verdict :=
-            flush_audit ~vary:v ma (Kernel.machine runs.(v).Nonint.kernel)
-      done
-    end;
-    (* Capacity probe over four secrets of [cap_dom], reusing the
-       baseline and the cap domain's varied run for two of them. *)
+          verdict := flush_audit ~vary:v base.flushed varied.(v).flushed
+      done;
+    (* Capacity probe over four secrets of [cap_dom]: the baseline and
+       the cap domain's varied run give the first two, and a probe
+       secret equal to [secret_b] reuses that run too. *)
     if !verdict = Pass then begin
       let c = t.Topology.cap_dom and o = t.Topology.cap_obs in
-      let extra s =
-        Nonint.execute ~max_steps:ms
-          (fun ~secret -> Topology.build t ~vary:c ~secret)
-          s
+      let symbol s =
+        if s = sb then obs_symbol varied.(c).threads.(o)
+        else
+          obs_symbol
+            (Domain.threads (Kernel.domain (execute ~vary:c s).Nonint.kernel o))
       in
-      let s3 = (t.Topology.secret_a + 3) mod 8
-      and s4 = (t.Topology.secret_a + 5) mod 8 in
+      let s3 = (sa + 3) mod 8 and s4 = (sa + 5) mod 8 in
       let samples =
         [
-          (t.Topology.secret_a, obs_symbol r_base ~obs:o);
-          (t.Topology.secret_b, obs_symbol runs.(c) ~obs:o);
-          (s3, obs_symbol (extra s3) ~obs:o);
-          (s4, obs_symbol (extra s4) ~obs:o);
+          (sa, obs_symbol base.threads.(o));
+          (sb, symbol sb);
+          (s3, symbol s3);
+          (s4, symbol s4);
         ]
       in
       let bits = Capacity.of_samples samples in

@@ -353,7 +353,7 @@ let program t d ~secret =
 (* ------------------------------------------------------------------ *)
 (* System construction                                                  *)
 
-let build t ~vary ~secret =
+let build ?machine t ~vary ~secret =
   let n = n_domains t in
   if vary < 0 || vary >= n then invalid_arg "Topology.build: vary";
   let mc = machine_config t in
@@ -382,7 +382,7 @@ let build t ~vary ~secret =
       None
   in
   let run =
-    System.build
+    System.build ?machine
       (System.spec
          ~n_endpoints:(max 4 (List.length t.ipc))
          ~n_irqs:(n + 1) ~schedules:t.scheds ?tweak ~machine:mc

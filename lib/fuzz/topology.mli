@@ -98,11 +98,14 @@ val program : t -> int -> secret:int -> Program.t
 (** Domain [d]'s program: IPC prefix (secret-independent, deadlock-free
     by construction), secret tail, workload body, halt. *)
 
-val build : t -> vary:int -> secret:int -> Nonint.run
+val build :
+  ?machine:Tpro_hw.Machine.t -> t -> vary:int -> secret:int -> Nonint.run
 (** Boot the topology's kernel with domain [vary]'s tail evaluated at
     [secret] and every other domain's at [secret_a].  All threads are
     cost-traced (the baseline run is shared across observer domains);
-    the run's observers are every domain except [vary]. *)
+    the run's observers are every domain except [vary].  With
+    [~machine] (built from {!machine_config}), the kernel boots on that
+    machine, reset, and behaves exactly as on a fresh one. *)
 
 val pairs : t -> (int * int) list
 (** All ordered (varied, observer) domain pairs. *)

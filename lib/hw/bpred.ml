@@ -7,7 +7,20 @@ type t = {
   mutable digest_clean : bool;
   mutable pristine : bool; (* exactly the power-on state: flush is O(1) *)
   empty_digest : int64;
+  moved : int array;
+      (* indices of counters moved off the power-on value since the last
+         flush, in order; a flush resets only these *)
+  mutable n_moved : int; (* > [Array.length moved]: the log overflowed *)
 }
+
+(* Counters power on weakly not-taken. *)
+let power_on = 1
+
+(* A time slice of the topology campaigns moves at most 16 counters
+   (seed 17, 200 topologies); a slice that moves more than the log holds
+   makes the next flush reset the whole table.  The log is per core of
+   every machine, so it is kept short. *)
+let moved_log = 32
 
 (* The digest chain covers history and every counter, so it is memoised
    and staled only by updates that actually move a counter or the
@@ -33,7 +46,7 @@ let empty_digest_for n =
     | None ->
       let acc = ref 7L in
       for _ = 1 to n do
-        acc := Rng.chain_int !acc 1
+        acc := Rng.chain_int !acc power_on
       done;
       Hashtbl.replace empty_memo n !acc;
       !acc
@@ -49,7 +62,7 @@ let create ?(history_bits = 8) ?(table_bits = 10) () =
   let n = 1 lsl table_bits in
   let empty_digest = empty_digest_for n in
   {
-    counters = Array.make n 1;
+    counters = Array.make n power_on;
     history = 0;
     history_mask = (1 lsl history_bits) - 1;
     table_mask = n - 1;
@@ -57,12 +70,17 @@ let create ?(history_bits = 8) ?(table_bits = 10) () =
     digest_clean = true;
     pristine = true;
     empty_digest;
+    moved = Array.make moved_log 0;
+    n_moved = 0;
   }
 
 let index t ~pc = ((pc lsr 2) lxor t.history) land t.table_mask
 
 let predict t ~pc = t.counters.(index t ~pc) >= 2
 
+(* Every counter off its power-on value left it at some update since the
+   last flush, and that update logged it: the log (unless it overflowed)
+   covers every counter a flush must reset. *)
 let update t ~pc ~taken =
   let i = index t ~pc in
   let predicted = t.counters.(i) >= 2 in
@@ -70,6 +88,11 @@ let update t ~pc ~taken =
   let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
   let h' = ((t.history lsl 1) lor (if taken then 1 else 0)) land t.history_mask in
   if c' <> c || h' <> t.history then begin
+    if c = power_on && c' <> c then begin
+      let n = t.n_moved in
+      if n < moved_log then Array.unsafe_set t.moved n i;
+      if n <= moved_log then t.n_moved <- n + 1
+    end;
     t.counters.(i) <- c';
     t.history <- h';
     t.digest_clean <- false;
@@ -79,7 +102,13 @@ let update t ~pc ~taken =
 
 let flush t =
   if not t.pristine then begin
-    Array.fill t.counters 0 (Array.length t.counters) 1;
+    if t.n_moved > moved_log then
+      Array.fill t.counters 0 (Array.length t.counters) power_on
+    else
+      for k = 0 to t.n_moved - 1 do
+        Array.unsafe_set t.counters (Array.unsafe_get t.moved k) power_on
+      done;
+    t.n_moved <- 0;
     t.history <- 0;
     t.digest_cache <- t.empty_digest;
     t.digest_clean <- true;

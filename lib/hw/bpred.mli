@@ -18,8 +18,10 @@ val update : t -> pc:int -> taken:bool -> bool
     correct (i.e. no misprediction penalty). *)
 
 val flush : t -> unit
-(** Reset counters, history and BTB to the power-on state.  O(1) if the
-    predictor is already at power-on. *)
+(** Reset counters and history to the power-on state.  O(1) if the
+    predictor is already at power-on.  Otherwise it resets only the
+    counters moved since the last flush, which a bounded log records;
+    when more moved than the log holds, it resets every counter. *)
 
 val digest : t -> int64
 (** Memoised: O(1) unless an {!update} moved a counter or the history

@@ -5,9 +5,9 @@ type replacement = Lru | Fifo | Pseudo_random of int
 (* Per-line state lives in flat unboxed storage, one slot per (set, way)
    at index [set * ways + way]: immediate-int arrays for tags, owners and
    stamps, and a packed byte per line for the valid/dirty bits.  No
-   per-line records, no per-set boxes — a flush is a handful of
-   [Array.fill]/[Bytes.fill] calls (memset) and the digest machinery
-   below can cache per-set digests in an unboxed Bigarray. *)
+   per-line records, no per-set boxes — a flush resets the touched sets
+   with inline loops and the digest machinery below can cache per-set
+   digests in an unboxed Bigarray. *)
 
 let meta_valid = 0x1
 let meta_dirty = 0x2
@@ -289,27 +289,42 @@ let owner_of t paddr =
   | w when w >= 0 -> Some t.owner.(base + w)
   | _ -> None
 
-(* Full invalidation.  [tick = 0] means no access has happened since the
-   last flush (lines only become valid through accesses), so the cache is
-   already in the power-on state and the flush is O(1) with an unchanged
-   (zero write-back) report — the clean-flush fast path. *)
+(* Full invalidation.  Lines only become valid through accesses, and an
+   access counts in its set's [set_ticks], so a set whose count is 0 has
+   not been touched since the last flush: its valid bits and digest
+   entries are still the power-on ones.  Only touched sets are reset.
+   Clearing a line's valid bit is enough: its tag, owner and stamp are
+   read only while the bit is set, and the fill that sets it writes all
+   three.  The prefix chain is still the empty one below the first
+   touched set ([first_stale] only ever drops to a touched set), so it
+   is restored from there up.  [tick = 0] means no set was touched at
+   all: the flush is O(1) with a zero write-back report — the
+   clean-flush fast path. *)
 let flush t =
   let dirty = t.n_dirty in
   if t.tick <> 0 then begin
-    let n = Array.length t.tags in
-    Array.fill t.tags 0 n 0;
-    Bytes.fill t.meta 0 n '\000';
-    Array.fill t.owner 0 n shared_owner;
-    Array.fill t.stamp 0 n 0;
-    Array.fill t.set_ticks 0 t.geometry.sets 0;
+    let sets = t.geometry.sets and ways = t.geometry.ways in
+    let first = ref sets in
+    for set = 0 to sets - 1 do
+      if Array.unsafe_get t.set_ticks set <> 0 then begin
+        if !first = sets then first := set;
+        for i = set * ways to (set * ways) + ways - 1 do
+          Bytes.unsafe_set t.meta i '\000'
+        done;
+        Array.unsafe_set t.set_ticks set 0;
+        Bigarray.Array1.unsafe_set t.set_digest set
+          (Bigarray.Array1.unsafe_get t.empty.e_sets set);
+        Bytes.unsafe_set t.set_clean set '\001'
+      end
+    done;
+    for set = !first to sets - 1 do
+      Bigarray.Array1.unsafe_set t.prefix set
+        (Bigarray.Array1.unsafe_get t.empty.e_prefix set)
+    done;
     t.tick <- 0;
     t.n_valid <- 0;
     t.n_dirty <- 0;
-    (* restore the interned empty-state digest tables wholesale *)
-    Bigarray.Array1.blit t.empty.e_sets t.set_digest;
-    Bigarray.Array1.blit t.empty.e_prefix t.prefix;
-    Bytes.fill t.set_clean 0 t.geometry.sets '\001';
-    t.first_stale <- t.geometry.sets
+    t.first_stale <- sets
   end;
   dirty
 

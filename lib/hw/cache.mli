@@ -90,9 +90,10 @@ val flush : t -> int
 (** Invalidate everything; returns the number of dirty lines that had to be
     written back — the history-dependent component of flush latency that
     motivates padding (Sect. 4.2 of the paper).  The count comes from an
-    O(1) per-resource dirty counter, and flushing a cache that has seen no
-    access since the last flush is O(1) (the flat state is already the
-    power-on image). *)
+    O(1) per-resource dirty counter.  Only sets accessed since the last
+    flush are reset (the others already hold the power-on image), so
+    flushing a cache that has seen no access is O(1).  A flushed cache
+    behaves exactly as a new one, replacement state included. *)
 
 val invalidate_line : t -> int -> bool
 (** [invalidate_line t paddr] drops the line holding [paddr] if present

@@ -4,6 +4,8 @@ let create () = { now = 0 }
 
 let now t = t.now
 
+let reset t = t.now <- 0
+
 let advance t c =
   if c < 0 then invalid_arg "Clock.advance: negative cycles";
   t.now <- t.now + c

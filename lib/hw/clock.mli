@@ -10,6 +10,9 @@ val create : unit -> t
 
 val now : t -> int
 
+val reset : t -> unit
+(** Back to cycle 0, as at [create]. *)
+
 val advance : t -> int -> unit
 (** [advance t c] moves the clock forward by [c >= 0] cycles. *)
 

@@ -1,3 +1,27 @@
+(* One physical core's resource registry.  SMT siblings share the
+   record, so a resource registered on either hardware thread is
+   digested, listed and flushed on both. *)
+type registry = {
+  mutable groups : Resource.t list list;
+      (* every core-private resource, packed; digest_core is a fold over
+         this *)
+  mutable flushables : Resource.t list;
+      (* the present flushable resources, in registry order: what
+         flush_core_local resets *)
+  mutable flushable_names : string list;
+      (* their names: what the kernel's per-switch coverage check reads *)
+}
+
+let set_groups reg groups =
+  let flushables =
+    List.concat_map
+      (List.filter (fun r -> Resource.present r && Resource.flushable r))
+      groups
+  in
+  reg.groups <- groups;
+  reg.flushables <- flushables;
+  reg.flushable_names <- List.map Resource.name flushables
+
 type core = {
   l1i : Cache.t;
   l1d : Cache.t;
@@ -7,9 +31,7 @@ type core = {
   pf : Prefetch.t;
   btb : Btb.t option;
   clk : Clock.t;
-  mutable registry : Resource.t list list;
-      (* every core-private resource, packed; digest_core and
-         flush_core_local are folds over this *)
+  reg : registry;
 }
 
 type fault =
@@ -95,6 +117,17 @@ let core_registry c =
     @ (match c.btb with Some b -> [ Resource.of_btb b ] | None -> []);
   ]
 
+let shared_registry cfg llc bus =
+  [
+    [
+      Resource.of_cache ~name:(Cache.name llc)
+        ~classification:Resource.Partitionable
+        ~colours:(Cache.n_colours cfg.llc_geom ~page_bits:cfg.page_bits)
+        llc;
+      Resource.of_interconnect bus;
+    ];
+  ]
+
 let create cfg =
   if cfg.n_cores <= 0 then invalid_arg "Machine.create: n_cores";
   let mk_core i =
@@ -115,16 +148,17 @@ let create cfg =
         pf = Prefetch.create ();
         btb = Option.map (fun entries -> Btb.create ~entries ()) cfg.btb_entries;
         clk = Clock.create ();
-        registry = [];
+        reg = { groups = []; flushables = []; flushable_names = [] };
       }
     in
-    c.registry <- core_registry c;
+    set_groups c.reg (core_registry c);
     c
   in
   (* With SMT, hardware thread 2k+1 shares every private structure of
      hardware thread 2k except the cycle counter — the model of two
-     hyperthreads on one physical core.  The registry is shared too: both
-     hardware threads see (and flush) the same resources. *)
+     hyperthreads on one physical core.  The registry record is shared
+     too: both hardware threads see (and flush) the same resources,
+     including any registered later on either of them. *)
   let cores = Array.make cfg.n_cores (mk_core 0) in
   for i = 1 to cfg.n_cores - 1 do
     cores.(i) <-
@@ -144,17 +178,31 @@ let create cfg =
     shared_llc;
     shared_bus;
     phys = Mem.create ~page_bits:cfg.page_bits ~n_frames:cfg.n_frames ();
-    shared_reg =
-      [
-        [
-          Resource.of_cache ~name:(Cache.name shared_llc)
-            ~classification:Resource.Partitionable
-            ~colours:(Cache.n_colours cfg.llc_geom ~page_bits:cfg.page_bits)
-            shared_llc;
-          Resource.of_interconnect shared_bus;
-        ];
-      ];
+    shared_reg = shared_registry cfg shared_llc shared_bus;
   }
+
+(* A flushed structure behaves as at power-on (replacement state
+   included), so a reset machine is a fresh one: clocks and memory
+   restart, and the registries drop every resource registered after
+   [create].  Reset siblings of an SMT pair flush their shared
+   structures twice; the second flush is a no-op. *)
+let reset t =
+  Array.iter
+    (fun c ->
+      let (_ : int) = Cache.flush c.l1i in
+      let (_ : int) = Cache.flush c.l1d in
+      Option.iter (fun l2 -> ignore (Cache.flush l2 : int)) c.l2;
+      let (_ : int) = Tlb.flush_all c.tlb in
+      Bpred.flush c.bp;
+      Prefetch.flush c.pf;
+      Option.iter Btb.flush c.btb;
+      Clock.reset c.clk;
+      set_groups c.reg (core_registry c))
+    t.cores;
+  let (_ : int) = Cache.flush t.shared_llc in
+  Interconnect.reset t.shared_bus;
+  Mem.reset t.phys;
+  t.shared_reg <- shared_registry t.cfg t.shared_llc t.shared_bus
 
 let config t = t.cfg
 let n_cores t = Array.length t.cores
@@ -184,14 +232,16 @@ let n_colours t = Cache.n_colours t.cfg.llc_geom ~page_bits:t.cfg.page_bits
 (* Resource registry                                                   *)
 
 let core_resources t ~core:i =
-  List.concat_map (List.filter Resource.present) (core t i).registry
+  List.concat_map (List.filter Resource.present) (core t i).reg.groups
+
+let flushable_names t ~core:i = (core t i).reg.flushable_names
 
 let shared_resources t =
   List.concat_map (List.filter Resource.present) t.shared_reg
 
 let register_core_resource t ~core:i r =
-  let c = core t i in
-  c.registry <- c.registry @ [ [ r ] ]
+  let reg = (core t i).reg in
+  set_groups reg (reg.groups @ [ [ r ] ])
 
 let register_shared_resource t r = t.shared_reg <- t.shared_reg @ [ [ r ] ]
 
@@ -395,14 +445,14 @@ let flush_line t ~core:ci ~asid ~translate vaddr =
     Clock.advance c.clk cost;
     Ok cost
 
-let digest_core t ~core:ci = Resource.digest_registry (core t ci).registry
+let digest_core t ~core:ci = Resource.digest_registry (core t ci).reg.groups
 
 let digest_shared t = Resource.digest_registry t.shared_reg
 
 (* From-scratch mirrors (no digest memo): ground truth for differential
    tests and the incremental-vs-fold benchmarks. *)
 let digest_core_fold t ~core:ci =
-  Resource.digest_registry_fold (core t ci).registry
+  Resource.digest_registry_fold (core t ci).reg.groups
 
 let digest_shared_fold t = Resource.digest_registry_fold t.shared_reg
 
@@ -415,18 +465,16 @@ let digest_shared_fold t = Resource.digest_registry_fold t.shared_reg
 let flush_core_local_report t ~core:ci =
   let c = core t ci in
   let l = t.cfg.lat in
-  let pre_digest = Resource.digest_registry c.registry in
+  let pre_digest = Resource.digest_registry c.reg.groups in
   let reports =
-    List.concat_map
-      (List.filter_map (fun r ->
-           if Resource.present r && Resource.flushable r then
-             match t.cfg.fault with
-             | Some (Skip_flush n) when Resource.name r = n -> None
-             | Some (Silent_skip_flush n) when Resource.name r = n ->
-               Some (Resource.name r, Resource.no_flush)
-             | _ -> Some (Resource.name r, Resource.flush r)
-           else None))
-      c.registry
+    List.filter_map
+      (fun r ->
+        match t.cfg.fault with
+        | Some (Skip_flush n) when Resource.name r = n -> None
+        | Some (Silent_skip_flush n) when Resource.name r = n ->
+          Some (Resource.name r, Resource.no_flush)
+        | _ -> Some (Resource.name r, Resource.flush r))
+      c.reg.flushables
   in
   let dirty, extra =
     List.fold_left

@@ -60,6 +60,15 @@ val default_config : config
 
 val create : config -> t
 
+val reset : t -> unit
+(** Return the machine to the state [create (config t)] returns: every
+    cache, TLB, predictor, prefetcher and BTB at power-on (replacement
+    and recency state included), clocks at 0, every frame free, and the
+    registries without any resource registered after [create].  Replaying
+    one trace on a reset machine and on a fresh one gives the same costs,
+    clocks and digests.  Cheaper than [create]: it resets only what was
+    touched and allocates no cache storage. *)
+
 val config : t -> config
 val n_cores : t -> int
 val clock : t -> core:int -> Clock.t
@@ -92,6 +101,11 @@ val n_colours : t -> int
 val core_resources : t -> core:int -> Resource.t list
 (** Present resources of one core, in registry (digest/flush) order. *)
 
+val flushable_names : t -> core:int -> string list
+(** Names of the present flushable resources of one core, in flush order:
+    the obligation the kernel checks every switch's flush report against.
+    Kept with the registry, so reading it allocates nothing. *)
+
 val shared_resources : t -> Resource.t list
 (** Present shared resources: the LLC (partitionable, with its colour
     count) and the interconnect (out of scope). *)
@@ -100,7 +114,9 @@ val register_core_resource : t -> core:int -> Resource.t -> unit
 (** Append an extra resource to one core's registry.  It is appended as
     its own digest group, so digests of machines without it are
     unaffected; from now on it participates in [digest_core], in
-    [flush_core_local] (if flushable) and in the derived taxonomy. *)
+    [flush_core_local] (if flushable) and in the derived taxonomy.  With
+    SMT, hardware threads [2k] and [2k+1] share one registry, so the
+    resource is registered on both. *)
 
 val register_shared_resource : t -> Resource.t -> unit
 

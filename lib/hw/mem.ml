@@ -8,6 +8,8 @@ let create ?(page_bits = 12) ~n_frames () =
     invalid_arg "Mem.create: page_bits out of range";
   { page_bits; owners = Array.make n_frames free_owner }
 
+let reset t = Array.fill t.owners 0 (Array.length t.owners) free_owner
+
 let page_bits t = t.page_bits
 let page_size t = 1 lsl t.page_bits
 let n_frames t = Array.length t.owners

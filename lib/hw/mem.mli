@@ -12,6 +12,9 @@ val free_owner : int
 
 val create : ?page_bits:int -> n_frames:int -> unit -> t
 
+val reset : t -> unit
+(** Free every frame, as at [create]. *)
+
 val page_bits : t -> int
 val page_size : t -> int
 val n_frames : t -> int

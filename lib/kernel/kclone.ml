@@ -3,8 +3,9 @@ open Tpro_hw
 type image = {
   text_frame_tbl : int array;  (* frame of each text frame-slot *)
   data_frame_tbl : int array;
+  text_line_tbl : int array;   (* physical address of each text line *)
+  data_line_tbl : int array;   (* physical address of each data line *)
   img_owner : int;
-  page_bits : int;
 }
 
 let text_lines = 64
@@ -42,41 +43,58 @@ let frames_for mem ~line_bits ~lines =
 let alloc_frames alloc ~owner ~colours ~n =
   Array.init n (fun _ -> Frame_alloc.alloc_exn alloc ~owner ~colours)
 
+(* The physical address of each of [lines] lines laid out through the
+   frame table [tbl]. *)
+let line_table mem ~line_bits tbl ~lines =
+  let page_bits = Mem.page_bits mem in
+  Array.init lines (fun line ->
+      let byte = line lsl line_bits in
+      let offset = byte land ((1 lsl page_bits) - 1) in
+      (tbl.(byte lsr page_bits) lsl page_bits) lor offset)
+
+(* Data frames are allocated before text frames.  The order is pinned:
+   it decides which kernel-colour frames each part gets, and so the
+   cache sets the kernel touches, which E1's table depends on. *)
 let boot alloc mem ~line_bits =
   let colours = [ Frame_alloc.reserved_kernel_colour ] in
   let owner = Cache.shared_owner in
-  let text_n = frames_for mem ~line_bits ~lines:text_lines in
-  let data_n = frames_for mem ~line_bits ~lines:data_lines in
+  let data_frame_tbl =
+    alloc_frames alloc ~owner ~colours
+      ~n:(frames_for mem ~line_bits ~lines:data_lines)
+  in
+  let text_frame_tbl =
+    alloc_frames alloc ~owner ~colours
+      ~n:(frames_for mem ~line_bits ~lines:text_lines)
+  in
   {
-    text_frame_tbl = alloc_frames alloc ~owner ~colours ~n:text_n;
-    data_frame_tbl = alloc_frames alloc ~owner ~colours ~n:data_n;
+    text_frame_tbl;
+    data_frame_tbl;
+    text_line_tbl = line_table mem ~line_bits text_frame_tbl ~lines:text_lines;
+    data_line_tbl = line_table mem ~line_bits data_frame_tbl ~lines:data_lines;
     img_owner = owner;
-    page_bits = Mem.page_bits mem;
   }
 
 let clone alloc mem ~line_bits ~shared ~colours ~owner =
-  let text_n = frames_for mem ~line_bits ~lines:text_lines in
+  let text_frame_tbl =
+    alloc_frames alloc ~owner ~colours
+      ~n:(frames_for mem ~line_bits ~lines:text_lines)
+  in
   {
     shared with
-    text_frame_tbl = alloc_frames alloc ~owner ~colours ~n:text_n;
+    text_frame_tbl;
+    text_line_tbl = line_table mem ~line_bits text_frame_tbl ~lines:text_lines;
     img_owner = owner;
   }
 
-let line_paddr img ~line_bits tbl line =
-  let byte = line lsl line_bits in
-  let frame_slot = byte lsr img.page_bits in
-  let offset = byte land ((1 lsl img.page_bits) - 1) in
-  (tbl.(frame_slot) lsl img.page_bits) lor offset
+let text_line img i = img.text_line_tbl.(i)
+let data_line img i = img.data_line_tbl.(i)
 
-let text_paddrs img ~line_bits { first_line; n_lines } =
+let text_paddrs img { first_line; n_lines } =
   if first_line < 0 || first_line + n_lines > text_lines then
     invalid_arg "Kclone.text_paddrs: path outside kernel text";
-  List.init n_lines (fun i ->
-      line_paddr img ~line_bits img.text_frame_tbl (first_line + i))
+  List.init n_lines (fun i -> text_line img (first_line + i))
 
-let data_paddrs img ~line_bits =
-  List.init data_lines (fun i ->
-      line_paddr img ~line_bits img.data_frame_tbl i)
+let data_paddrs img = Array.to_list img.data_line_tbl
 
 let text_frames img = Array.to_list img.text_frame_tbl
 let data_frames img = Array.to_list img.data_frame_tbl

@@ -41,8 +41,10 @@ val owner : image -> int
 (** Cache-line owner recorded for this image's text. *)
 
 val boot : Frame_alloc.t -> Mem.t -> line_bits:int -> image
-(** Allocate the shared kernel image (text + global data) from the
-    reserved kernel colour, owned by {!Cache.shared_owner}. *)
+(** Allocate the shared kernel image (global data, then text) from the
+    reserved kernel colour, owned by {!Cache.shared_owner}.  The image
+    stores the physical address of every line it lays out with
+    [line_bits]. *)
 
 val clone :
   Frame_alloc.t ->
@@ -55,10 +57,17 @@ val clone :
 (** Domain-private copy: fresh text frames of the domain's colours; global
     data frames are shared with [shared]. *)
 
-val text_paddrs : image -> line_bits:int -> path -> int list
+val text_line : image -> int -> int
+(** [text_line img i]: physical address of text line [i], looked up in
+    the table built at boot or clone (the kernel's per-trap path). *)
+
+val data_line : image -> int -> int
+(** [data_line img i]: physical address of global-data line [i]. *)
+
+val text_paddrs : image -> path -> int list
 (** Physical addresses of the lines fetched along [path]. *)
 
-val data_paddrs : image -> line_bits:int -> int list
+val data_paddrs : image -> int list
 (** Physical addresses of all kernel global-data lines. *)
 
 val text_frames : image -> int list

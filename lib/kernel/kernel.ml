@@ -68,9 +68,18 @@ type t = {
 
 let code_vbase_start = 0x0010_0000
 
-let create ?(machine_config = Machine.default_config) ?(n_endpoints = 4)
-    ?(n_irqs = 8) cfg =
-  let m = Machine.create machine_config in
+let create ?machine_config ?machine ?(n_endpoints = 4) ?(n_irqs = 8) cfg =
+  let m =
+    match (machine, machine_config) with
+    | None, _ ->
+      Machine.create (Option.value machine_config ~default:Machine.default_config)
+    | Some m, Some mc when mc <> Machine.config m ->
+      invalid_arg "Kernel.create: ~machine has another configuration"
+    | Some m, _ ->
+      Machine.reset m;
+      m
+  in
+  let machine_config = Machine.config m in
   if
     machine_config.Machine.l1_geom.Cache.line_bits
     <> machine_config.Machine.llc_geom.Cache.line_bits
@@ -265,20 +274,18 @@ let now t ~core = Machine.now t.m ~core
    global data — the determinism Case 2a relies on. *)
 let kernel_path t ~core (dom : Domain.t) kind =
   let img = image_of_domain t dom in
-  let lb = line_bits t in
-  let path = Kclone.path_of_kind kind in
+  let { Kclone.first_line; n_lines } = Kclone.path_of_kind kind in
+  let owner = Kclone.owner img in
   let cost = ref 0 in
-  List.iter
-    (fun pa ->
-      cost := !cost + Machine.fetch_paddr t.m ~core ~owner:(Kclone.owner img) pa)
-    (Kclone.text_paddrs img ~line_bits:lb path);
-  List.iteri
-    (fun i pa ->
-      cost :=
-        !cost
-        + Machine.touch_paddr t.m ~core ~owner:Cache.shared_owner
-            ~write:(i land 1 = 0) pa)
-    (Kclone.data_paddrs img ~line_bits:lb);
+  for i = first_line to first_line + n_lines - 1 do
+    cost := !cost + Machine.fetch_paddr t.m ~core ~owner (Kclone.text_line img i)
+  done;
+  for i = 0 to Kclone.data_lines - 1 do
+    cost :=
+      !cost
+      + Machine.touch_paddr t.m ~core ~owner:Cache.shared_owner
+          ~write:(i land 1 = 0) (Kclone.data_line img i)
+  done;
   !cost
 
 let runnable_threads (dom : Domain.t) =
@@ -318,11 +325,10 @@ let do_switch t (cs : core_state) reason =
          padded switch provably resets all of them — including any added
          after this code was written. *)
       List.iter
-        (fun r ->
-          if Resource.flushable r
-             && not (List.mem_assoc (Resource.name r) reports)
-          then raise (Uncovered_flushable (Resource.name r)))
-        (Machine.core_resources t.m ~core);
+        (fun name ->
+          if not (List.mem_assoc name reports) then
+            raise (Uncovered_flushable name))
+        (Machine.flushable_names t.m ~core);
       cycles
     end
     else 0

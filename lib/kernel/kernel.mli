@@ -54,12 +54,19 @@ type t
 
 val create :
   ?machine_config:Machine.config ->
+  ?machine:Machine.t ->
   ?n_endpoints:int ->
   ?n_irqs:int ->
   config ->
   t
 (** Boot: build the machine, reserve kernel-colour frames and allocate the
-    shared kernel image. *)
+    shared kernel image.  With [~machine], boot on that machine instead,
+    after {!Machine.reset}: the kernel then behaves exactly as on a fresh
+    machine of the same configuration, and whatever ran on the machine
+    before must no longer be used.  [machine_config] defaults to
+    {!Machine.default_config}, or to the machine's own configuration;
+    giving both with different configurations raises
+    [Invalid_argument]. *)
 
 val machine : t -> Machine.t
 val config : t -> config

@@ -52,15 +52,17 @@ let first_cost_divergence kind obs1 obs2 =
   in
   per_thread 0 obs1 obs2
 
-let compare_runs r1 r2 =
+let compare_threads obs1 obs2 =
   {
     obs =
       Observation.compare_many
-        (Observation.of_threads r1.observers)
-        (Observation.of_threads r2.observers);
-    user_costs = first_cost_divergence Thread.User r1.observers r2.observers;
-    trap_costs = first_cost_divergence Thread.Trap r1.observers r2.observers;
+        (Observation.of_threads obs1)
+        (Observation.of_threads obs2);
+    user_costs = first_cost_divergence Thread.User obs1 obs2;
+    trap_costs = first_cost_divergence Thread.Trap obs1 obs2;
   }
+
+let compare_runs r1 r2 = compare_threads r1.observers r2.observers
 
 let pp_report ppf r =
   if secure r then Format.pp_print_string ppf "no divergence"

@@ -52,4 +52,9 @@ val compare_runs : run -> run -> divergence_report
     the final kernels as well (e.g. to compare machine digests) still
     have them. *)
 
+val compare_threads : Thread.t list -> Thread.t list -> divergence_report
+(** [compare_runs] on two observer lists: what it reads of a run.  The
+    threads' traces outlive their kernel, so this compares runs whose
+    machine has since been reset for another run. *)
+
 val pp_report : Format.formatter -> divergence_report -> unit

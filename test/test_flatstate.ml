@@ -53,38 +53,37 @@ let presets =
 
 let translate vpn = if vpn < 256 then Some vpn else None
 
-(* One random machine event.  The op mix deliberately hits the paths
-   whose digest bookkeeping is subtle: writes (dirty bits + write-backs
-   on eviction), kernel fetches, branches (saturating counters + BTB),
-   virtual accesses (TLB insert/evict), line invalidation, and the
-   occasional full core-local flush mid-trace. *)
+let cost = function Ok c -> c | Error `Fault -> -1
+
+(* One random machine event, returning its cost (-1 for a fault).  The
+   op mix deliberately hits the paths whose digest bookkeeping is
+   subtle: writes (dirty bits + write-backs on eviction), kernel
+   fetches, branches (saturating counters + BTB), virtual accesses (TLB
+   insert/evict), line invalidation, and the occasional full core-local
+   flush mid-trace. *)
 let step m ~core rng =
   let span = 0x40000 in
   match Rng.int rng 10 with
   | 0 | 1 ->
-    ignore
-      (Machine.touch_paddr m ~core ~owner:(Rng.int rng 2) ~write:false
-         (Rng.int rng span))
+    Machine.touch_paddr m ~core ~owner:(Rng.int rng 2) ~write:false
+      (Rng.int rng span)
   | 2 | 3 ->
-    ignore
-      (Machine.touch_paddr m ~core ~owner:(Rng.int rng 2) ~write:true
-         (Rng.int rng span))
-  | 4 -> ignore (Machine.fetch_paddr m ~core ~owner:0 (Rng.int rng span))
+    Machine.touch_paddr m ~core ~owner:(Rng.int rng 2) ~write:true
+      (Rng.int rng span)
+  | 4 -> Machine.fetch_paddr m ~core ~owner:0 (Rng.int rng span)
   | 5 | 6 ->
-    ignore
-      (Machine.branch m ~core ~pc:(Rng.int rng 256 * 4) ~taken:(Rng.bool rng))
+    Machine.branch m ~core ~pc:(Rng.int rng 256 * 4) ~taken:(Rng.bool rng)
   | 7 ->
-    ignore
+    cost
       (Machine.load m ~core ~asid:(1 + Rng.int rng 3) ~domain:0 ~translate
          ~pc:(Rng.int rng 4096) (Rng.int rng span))
   | 8 ->
-    ignore
+    cost
       (Machine.store m ~core ~asid:(1 + Rng.int rng 3) ~domain:1 ~translate
          ~pc:(Rng.int rng 4096) (Rng.int rng span))
   | _ ->
-    if Rng.int rng 8 = 0 then ignore (Machine.flush_core_local m ~core)
-    else
-      ignore (Machine.flush_line m ~core ~asid:1 ~translate (Rng.int rng span))
+    if Rng.int rng 8 = 0 then Machine.flush_core_local m ~core
+    else cost (Machine.flush_line m ~core ~asid:1 ~translate (Rng.int rng span))
 
 let check_digests_agree name m =
   for core = 0 to Machine.n_cores m - 1 do
@@ -106,8 +105,8 @@ let test_trace_differential (name, cfg) () =
   check_digests_agree (name ^ " (fresh)") m;
   let rng = Rng.create 0xf1a7 in
   for i = 1 to 300 do
-    step m ~core:0 rng;
-    if Machine.n_cores m > 1 then step m ~core:1 rng;
+    ignore (step m ~core:0 rng : int);
+    if Machine.n_cores m > 1 then ignore (step m ~core:1 rng : int);
     check_digests_agree (Printf.sprintf "%s step %d" name i) m
   done;
   (* per-set LLC digests (the unwinding relation's partition view reads
@@ -128,7 +127,7 @@ let test_flush_resets (name, cfg) () =
   let m = Machine.create cfg in
   let rng = Rng.create 0xbeef in
   for _ = 1 to 200 do
-    step m ~core:0 rng
+    ignore (step m ~core:0 rng : int)
   done;
   let fresh = Machine.create cfg in
   for core = 0 to Machine.n_cores m - 1 do
@@ -142,6 +141,104 @@ let test_flush_resets (name, cfg) () =
       (Machine.digest_core_fold m ~core)
       (Machine.digest_core m ~core)
   done
+
+(* A reset machine is a fresh one.  A first trace touches every
+   structure, memory ownership and the registries; after [reset], the
+   machine and a new one replay a second trace at the same cost at every
+   step, with the same clocks and digests throughout. *)
+let test_reset_matches_fresh (name, cfg) () =
+  let m = Machine.create cfg in
+  let n = Machine.n_cores m in
+  let rng = Rng.create 0x5e7 in
+  for _ = 1 to 300 do
+    for core = 0 to n - 1 do
+      ignore (step m ~core rng : int)
+    done
+  done;
+  Mem.set_owner (Machine.mem m) ~frame:3 ~owner:1;
+  let late name =
+    Resource.make ~name ~classification:Resource.Flushable
+      ~digest:(fun () -> 5L)
+      ~flush:(fun () -> Resource.no_flush)
+      ()
+  in
+  Machine.register_core_resource m ~core:0 (late "late core resource");
+  Machine.register_shared_resource m (late "late shared resource");
+  Machine.reset m;
+  let fresh = Machine.create cfg in
+  let names rs = List.map Resource.name rs in
+  for core = 0 to n - 1 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "%s: core %d registry" name core)
+      (names (Machine.core_resources fresh ~core))
+      (names (Machine.core_resources m ~core))
+  done;
+  Alcotest.(check (list string))
+    (name ^ ": shared registry")
+    (names (Machine.shared_resources fresh))
+    (names (Machine.shared_resources m));
+  Alcotest.(check (list int))
+    (name ^ ": every frame free")
+    [] (Mem.frames_owned_by (Machine.mem m) 1);
+  let ra = Rng.create 0xa11 and rb = Rng.create 0xa11 in
+  for i = 1 to 300 do
+    for core = 0 to n - 1 do
+      let label what = Printf.sprintf "%s step %d core %d: %s" name i core what in
+      Alcotest.(check int) (label "cost") (step fresh ~core rb) (step m ~core ra);
+      Alcotest.(check int) (label "clock") (Machine.now fresh ~core)
+        (Machine.now m ~core);
+      Alcotest.(check int64) (label "digest") (Machine.digest_core fresh ~core)
+        (Machine.digest_core m ~core)
+    done;
+    Alcotest.(check int64)
+      (Printf.sprintf "%s step %d: shared digest" name i)
+      (Machine.digest_shared fresh) (Machine.digest_shared m)
+  done;
+  check_digests_agree (name ^ " (reset, replayed)") m
+
+(* Digests ignore recency stamps and [set_ticks], so only a replay shows
+   a flush that leaves replacement state behind.  A first trace touches
+   half the sets (a flush resets only touched ones) and evicts; after a
+   flush, the cache must hit, miss and evict exactly as a new one. *)
+let test_flushed_cache_replays_fresh (pname, replacement) () =
+  let g = geometry ~sets:64 ~ways:4 ~line_bits:6 () in
+  let c = Cache.create ~replacement g in
+  let rng = Rng.create 0xf1 in
+  for _ = 1 to 600 do
+    (* even lines only: the even sets, 16 tags each *)
+    let addr = Rng.int rng 1024 * 128 in
+    if Rng.int rng 10 = 0 then ignore (Cache.invalidate_line c addr : bool)
+    else
+      let owner = Rng.int rng 3 in
+      let write = Rng.bool rng in
+      ignore (Cache.access c ~owner ~write addr : Cache.access_result)
+  done;
+  Alcotest.(check bool) (pname ^ ": trace left dirty lines") true
+    (Cache.dirty_count c > 0);
+  ignore (Cache.flush c : int);
+  let fresh = Cache.create ~replacement g in
+  let access c rng =
+    let owner = Rng.int rng 3 in
+    let write = Rng.bool rng in
+    let addr = Rng.int rng 0x10000 in
+    Cache.access c ~owner ~write addr
+  in
+  let ra = Rng.create 0xf2 and rb = Rng.create 0xf2 in
+  for i = 1 to 2000 do
+    if access c ra <> access fresh rb then
+      Alcotest.failf "%s: access %d differs from a new cache's" pname i
+  done;
+  let lines c =
+    let acc = ref [] in
+    Cache.iter_lines c (fun ~set ~way ~tag ~dirty ~owner ->
+        acc := (set, way, tag, dirty, owner) :: !acc);
+    !acc
+  in
+  Alcotest.(check bool) (pname ^ ": same lines") true (lines c = lines fresh);
+  Alcotest.(check int64) (pname ^ ": same digest") (Cache.digest fresh)
+    (Cache.digest c);
+  Alcotest.(check int64) (pname ^ ": digest == fold") (Cache.digest_fold c)
+    (Cache.digest c)
 
 (* O(1) counters agree with the flush's ground truth: [flush] reports
    exactly [dirty_count] write-backs, and a clean (untouched) cache
@@ -208,7 +305,7 @@ let prop_random_traces =
       let rng = Rng.create ((seed * 2) + 1) in
       let ok = ref (audited ()) in
       for _ = 1 to steps do
-        step m ~core:0 rng;
+        ignore (step m ~core:0 rng : int);
         ok := !ok && audited ()
       done;
       !ok
@@ -347,6 +444,21 @@ let suite =
           `Quick
           (test_flush_resets (name, cfg)))
       presets
+  @ List.map
+      (fun (name, cfg) ->
+        Alcotest.test_case
+          (Printf.sprintf "reset machine replays as fresh (%s)" name)
+          `Quick
+          (test_reset_matches_fresh (name, cfg)))
+      presets
+  @ List.map
+      (fun (name, replacement) ->
+        Alcotest.test_case
+          (Printf.sprintf "flushed cache replays as new (%s)" name)
+          `Quick
+          (test_flushed_cache_replays_fresh (name, replacement)))
+      [ ("lru", Cache.Lru); ("fifo", Cache.Fifo);
+        ("pseudo-random", Cache.Pseudo_random 7) ]
   @ [
       Alcotest.test_case "O(1) dirty counter agrees with flush" `Quick
         test_dirty_counter;

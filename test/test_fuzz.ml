@@ -563,6 +563,63 @@ let test_miscolour_leaks_one_pair () =
           Alcotest.failf "pair (%d,%d) unexpectedly leaks: %s" v o m)
     (Topology.pairs t)
 
+(* Booting a topology on a machine that already ran one of its systems
+   is booting it on a fresh machine: on seed-42 topologies with 1, 2 and
+   4 cores, with SMT, and under a machine fault and a kernel tweak, the
+   recycled run ends with the same events, clocks, digests and thread
+   traces as a fresh build. *)
+let test_topology_build_recycled () =
+  let module Kernel = Tpro_kernel.Kernel in
+  let module Machine = Tpro_hw.Machine in
+  let module Nonint = Tpro_secmodel.Nonint in
+  let topos = List.init 200 (Topology.generate ~seed:42) in
+  let pick what p =
+    match List.find_opt p topos with
+    | Some t -> (what, t)
+    | None -> Alcotest.failf "no seed-42 topology with %s" what
+  in
+  let cases =
+    [
+      pick "1 core" (fun t -> t.Topology.n_cores = 1);
+      pick "2 cores" (fun t -> t.Topology.n_cores = 2 && not t.Topology.smt);
+      pick "4 cores" (fun t -> t.Topology.n_cores = 4 && not t.Topology.smt);
+      pick "smt" (fun t -> t.Topology.smt);
+      ("skip-flush", Topology.generate ~seed:42 ~mutant:Scenario.Skip_flush 3);
+      ("miscolour", Topology.generate ~seed:42 ~mutant:Scenario.Miscolour 5);
+    ]
+  in
+  List.iter
+    (fun (what, t) ->
+      let exec ?machine ~vary secret =
+        Nonint.execute ~max_steps:(Topology.max_steps t)
+          (fun ~secret -> Topology.build ?machine t ~vary ~secret)
+          secret
+      in
+      let ending (run : Nonint.run) =
+        let k = run.Nonint.kernel in
+        let m = Kernel.machine k in
+        let cores = List.init (Machine.n_cores m) Fun.id in
+        ( Kernel.events k,
+          List.map (fun core -> (Machine.now m ~core, Machine.digest_core m ~core)) cores,
+          Machine.digest_shared m,
+          List.concat_map Tpro_kernel.Domain.threads (Kernel.domains k) )
+      in
+      let machine = Machine.create (Topology.machine_config t) in
+      ignore (exec ~machine ~vary:t.Topology.deep_lo t.Topology.secret_b);
+      let ev_r, cores_r, shared_r, ths_r =
+        ending (exec ~machine ~vary:t.Topology.deep_hi t.Topology.secret_b)
+      in
+      let ev_f, cores_f, shared_f, ths_f =
+        ending (exec ~vary:t.Topology.deep_hi t.Topology.secret_b)
+      in
+      Alcotest.(check bool) (what ^ ": same events") true (ev_r = ev_f);
+      Alcotest.(check bool) (what ^ ": same clocks and core digests") true
+        (cores_r = cores_f);
+      Alcotest.(check int64) (what ^ ": same shared digest") shared_f shared_r;
+      Alcotest.(check bool) (what ^ ": same thread traces") true
+        (Nonint.secure (Nonint.compare_threads ths_r ths_f)))
+    cases
+
 (* Topology fan-out must not change verdicts either. *)
 let test_topo_pool_matches_sequential () =
   let seq = Driver.topo_run ~seed:9 ~trials:24 () in
@@ -646,6 +703,8 @@ let suite =
       test_topo_kill_miscolour;
     Alcotest.test_case "miscolour leaks between exactly one pair" `Quick
       test_miscolour_leaks_one_pair;
+    Alcotest.test_case "topology build on a recycled machine" `Quick
+      test_topology_build_recycled;
     Alcotest.test_case "topology pool fan-out matches sequential" `Quick
       test_topo_pool_matches_sequential;
     Alcotest.test_case "2-domain topology is the legacy instance" `Quick

@@ -151,6 +151,41 @@ let test_no_sharing_without_smt () =
   Alcotest.(check bool) "separate L1s" false
     (Cache.probe (Machine.l1d m ~core:1) 0x5000)
 
+(* Hardware threads 2k and 2k+1 share one registry: a resource
+   registered on either thread after [create] is listed, covered by the
+   switch's flush obligation and flushed on both.  Without SMT, each
+   core keeps its own. *)
+let test_smt_shares_registry () =
+  let flushes = ref 0 in
+  let buffer name =
+    Resource.make ~name ~classification:Resource.Flushable
+      ~digest:(fun () -> 0L)
+      ~flush:(fun () ->
+        incr flushes;
+        Resource.no_flush)
+      ()
+  in
+  let listed m ~core name =
+    List.exists (fun r -> Resource.name r = name) (Machine.core_resources m ~core)
+    && List.mem name (Machine.flushable_names m ~core)
+  in
+  let m = Machine.create smt_config in
+  Machine.register_core_resource m ~core:0 (buffer "fill buffer");
+  Machine.register_core_resource m ~core:1 (buffer "store buffer");
+  List.iter
+    (fun core ->
+      Alcotest.(check bool)
+        (Printf.sprintf "both buffers listed on thread %d" core)
+        true
+        (listed m ~core "fill buffer" && listed m ~core "store buffer"))
+    [ 0; 1 ];
+  let (_ : int) = Machine.flush_core_local m ~core:1 in
+  Alcotest.(check int) "thread 1's flush resets both" 2 !flushes;
+  let m = Machine.create { smt_config with Machine.smt = false } in
+  Machine.register_core_resource m ~core:0 (buffer "fill buffer");
+  Alcotest.(check bool) "without SMT, core 1 keeps its own registry" false
+    (listed m ~core:1 "fill buffer")
+
 let test_smt_channel_defies_full_tp () =
   let cap smt =
     (Attack.measure ~seeds:[ 0; 1 ] (Smt_channel.scenario ~smt ())
@@ -209,6 +244,8 @@ let suite =
     Alcotest.test_case "SMT shares private state" `Quick
       test_smt_shares_private_state;
     Alcotest.test_case "no sharing without SMT" `Quick test_no_sharing_without_smt;
+    Alcotest.test_case "SMT threads share one registry" `Quick
+      test_smt_shares_registry;
     Alcotest.test_case "SMT channel defies full TP" `Slow
       test_smt_channel_defies_full_tp;
     Alcotest.test_case "throttle caps rate" `Quick test_throttle_caps_rate;

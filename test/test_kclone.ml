@@ -19,14 +19,20 @@ let test_boot_in_kernel_colour () =
         (Frame_alloc.colour_of_frame alloc f))
     (Kclone.data_frames img);
   Alcotest.(check int) "shared image owner" Cache.shared_owner
-    (Kclone.owner img)
+    (Kclone.owner img);
+  (* boot allocates the data frames first: E1's table depends on which
+     frames, and so which cache sets, each part gets *)
+  Alcotest.(check bool) "data frames precede text frames" true
+    (List.for_all
+       (fun d -> List.for_all (fun t -> d < t) (Kclone.text_frames img))
+       (Kclone.data_frames img))
 
 let test_paths_within_text () =
   let _, _, img = mk () in
   List.iter
     (fun kind ->
       let p = Kclone.path_of_kind kind in
-      let addrs = Kclone.text_paddrs img ~line_bits:6 p in
+      let addrs = Kclone.text_paddrs img p in
       Alcotest.(check int)
         (kind ^ " path length")
         p.Kclone.n_lines (List.length addrs))
@@ -40,8 +46,8 @@ let test_paths_disjoint () =
       List.iteri
         (fun j k2 ->
           if i < j then begin
-            let a1 = Kclone.text_paddrs img ~line_bits:6 (Kclone.path_of_kind k1) in
-            let a2 = Kclone.text_paddrs img ~line_bits:6 (Kclone.path_of_kind k2) in
+            let a1 = Kclone.text_paddrs img (Kclone.path_of_kind k1) in
+            let a2 = Kclone.text_paddrs img (Kclone.path_of_kind k2) in
             List.iter
               (fun a ->
                 Alcotest.(check bool)
@@ -74,7 +80,7 @@ let test_clone_separate_text_shared_data () =
 
 let test_data_paddrs () =
   let _, _, img = mk () in
-  let addrs = Kclone.data_paddrs img ~line_bits:6 in
+  let addrs = Kclone.data_paddrs img in
   Alcotest.(check int) "all data lines" Kclone.data_lines (List.length addrs);
   (* consecutive lines are 64 bytes apart within a frame *)
   match addrs with
@@ -87,7 +93,7 @@ let test_path_bounds_checked () =
     (Invalid_argument "Kclone.text_paddrs: path outside kernel text")
     (fun () ->
       ignore
-        (Kclone.text_paddrs img ~line_bits:6
+        (Kclone.text_paddrs img
            { Kclone.first_line = 60; n_lines = 10 }))
 
 let suite =

@@ -310,25 +310,44 @@ let test_deterministic_delivery_holds_core () =
   Alcotest.(check bool) "deterministic delivery waits for the boundary" true
     (run true >= 10000)
 
-let test_kernel_determinism () =
-  let run () =
-    let k = boot ~cfg:Kernel.config_full () in
-    let d0 = Kernel.create_domain k ~slice:4000 ~pad_cycles:9000 () in
-    let d1 = Kernel.create_domain k ~slice:4000 ~pad_cycles:9000 () in
-    Kernel.map_region k d0 ~vbase:0x20000000 ~pages:1;
-    let rng = Rng.create 33 in
-    ignore
-      (Kernel.spawn k d0
-         (Program.random rng ~len:60 ~data_base:0x20000000 ~data_bytes:4096));
-    let rx =
-      Kernel.spawn k d1
-        [| Program.Read_clock; Program.Compute 50; Program.Read_clock; Program.Halt |]
-    in
-    Kernel.run k ~max_steps:50000;
-    Thread.observations rx
+(* A random domain and a clock reader under full protection: the
+   receiver's observations, the event trace and the final clock. *)
+let run_two_domains ?machine () =
+  let k =
+    Kernel.create ~machine_config:small_machine ?machine Kernel.config_full
   in
+  let d0 = Kernel.create_domain k ~slice:4000 ~pad_cycles:9000 () in
+  let d1 = Kernel.create_domain k ~slice:4000 ~pad_cycles:9000 () in
+  Kernel.map_region k d0 ~vbase:0x20000000 ~pages:1;
+  let rng = Rng.create 33 in
+  ignore
+    (Kernel.spawn k d0
+       (Program.random rng ~len:60 ~data_base:0x20000000 ~data_bytes:4096));
+  let rx =
+    Kernel.spawn k d1
+      [| Program.Read_clock; Program.Compute 50; Program.Read_clock; Program.Halt |]
+  in
+  Kernel.run k ~max_steps:50000;
+  (Thread.observations rx, Kernel.events k, Kernel.now k ~core:0)
+
+let test_kernel_determinism () =
   Alcotest.(check bool) "two identical boots give identical traces" true
-    (run () = run ())
+    (run_two_domains () = run_two_domains ())
+
+(* Booting on a machine that already ran a system is booting on a fresh
+   one; a machine of another configuration is refused. *)
+let test_boot_on_used_machine () =
+  let m = Machine.create small_machine in
+  let fresh = run_two_domains () in
+  ignore (run_two_domains ~machine:m ());
+  Alcotest.(check bool) "same observations, events and clock" true
+    (run_two_domains ~machine:m () = fresh);
+  Alcotest.check_raises "another configuration is refused"
+    (Invalid_argument "Kernel.create: ~machine has another configuration")
+    (fun () ->
+      ignore
+        (Kernel.create ~machine_config:Machine.default_config ~machine:m
+           Kernel.config_full))
 
 (* A registered Flushable resource the machine silently fails to flush
    must be caught by the switch-time coverage audit in Kernel.do_switch. *)
@@ -384,6 +403,7 @@ let suite =
     Alcotest.test_case "deterministic delivery holds core" `Quick
       test_deterministic_delivery_holds_core;
     Alcotest.test_case "kernel determinism" `Quick test_kernel_determinism;
+    Alcotest.test_case "boot on a used machine" `Quick test_boot_on_used_machine;
     Alcotest.test_case "uncovered flushable raises" `Quick
       test_uncovered_flushable;
   ]
