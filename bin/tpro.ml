@@ -51,6 +51,13 @@ let checkpoint_path checkpoint resume =
   | Some c, _ -> Some c
   | None, r -> r
 
+(* -j's default, the calibrated domain count, is resolved only by a
+   command about to fan out: calibrating runs a 2-domain probe that
+   `--version`, `list` or an explicit -j must not pay for. *)
+let resolve_jobs = function
+  | Some jobs -> jobs
+  | None -> Tpro_engine.Pool.recommended ()
+
 (* Supervised sweep shared by `tpro all` and `tpro exp` when a
    checkpoint is in play: print the tables that settled, report the ones
    that did not, exit 2 if the sweep is incomplete. *)
@@ -75,6 +82,7 @@ let run_experiment id seeds csv jobs checkpoint resume =
     exit 1
   | Some f -> (
     let seeds = match seeds with [] -> None | l -> Some l in
+    let jobs = resolve_jobs jobs in
     match checkpoint_path checkpoint resume with
     | Some path ->
       run_sweep_supervised ?seeds ~only:[ String.lowercase_ascii id ] ~csv
@@ -87,6 +95,7 @@ let run_experiment id seeds csv jobs checkpoint resume =
 
 let run_all seeds csv jobs checkpoint resume =
   let seeds = match seeds with [] -> None | l -> Some l in
+  let jobs = resolve_jobs jobs in
   match checkpoint_path checkpoint resume with
   | Some path ->
     run_sweep_supervised ?seeds ~csv ~jobs ~path ~resume:(resume <> None) ()
@@ -208,7 +217,7 @@ let run_prove preset all seeds secrets smoke jobs acknowledge json checkpoint
       exit 124)
     (Tpro_secmodel.Theorem.secrets_error secrets);
   let checkpoint = checkpoint_path checkpoint resume in
-  Supervisor.with_supervisor ~domains:jobs (fun sup ->
+  Supervisor.with_supervisor ~domains:(resolve_jobs jobs) (fun sup ->
       let open Time_protection.Prove in
       let checkpoint_every =
         match (checkpoint_every, checkpoint) with
@@ -280,7 +289,7 @@ let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
   match replay with
   | Some path -> run_replay path
   | None ->
-    Supervisor.with_supervisor ~domains:jobs (fun sup ->
+    Supervisor.with_supervisor ~domains:(resolve_jobs jobs) (fun sup ->
         let c =
           campaign ~sup ~mutant
             ?checkpoint:(checkpoint_path checkpoint resume)
@@ -312,7 +321,7 @@ let run_topo seed trials jobs mutant max_domains max_cores replay out
   match replay with
   | Some path -> run_replay path
   | None ->
-    Supervisor.with_supervisor ~domains:jobs (fun sup ->
+    Supervisor.with_supervisor ~domains:(resolve_jobs jobs) (fun sup ->
         let c =
           topo_campaign ~sup ~mutant
             ?checkpoint:(checkpoint_path checkpoint resume)
@@ -486,7 +495,7 @@ let csv_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Tpro_engine.Pool.recommended ())
+    & opt (some int) None
     & info [ "j"; "jobs" ]
         ~doc:
           "Number of domains for the parallel trial engine (default: the \

@@ -51,6 +51,7 @@ type t = {
   prefix : int64_flat;       (* cached digest prefix chain *)
   mutable first_stale : int; (* prefix valid strictly below this set *)
   empty : empty_tables;      (* power-on state, for flush resets *)
+  mutable changes : int;     (* bumped by every digest-visible change *)
 }
 
 type evicted = { tag : int; dirty : bool; owner : int }
@@ -150,6 +151,7 @@ let create ?(name = "cache") ?(replacement = Lru) geometry =
     prefix;
     first_stale = sets;
     empty;
+    changes = 0;
   }
 
 let replacement t = t.repl
@@ -186,7 +188,10 @@ let paddr_of_line t ~set ~tag = (tag lsl t.tag_shift) lor (set lsl t.geometry.li
    touch the digest and must not come through here. *)
 let mark_set_changed t set =
   Bytes.unsafe_set t.set_clean set '\000';
-  if set < t.first_stale then t.first_stale <- set
+  if set < t.first_stale then t.first_stale <- set;
+  t.changes <- t.changes + 1
+
+let changes t = t.changes
 
 let find_way t ~base tag =
   let ways = t.geometry.ways in
@@ -299,9 +304,10 @@ let owner_of t paddr =
    touched set ([first_stale] only ever drops to a touched set), so it
    is restored from there up.  [tick = 0] means no set was touched at
    all: the flush is O(1) with a zero write-back report — the
-   clean-flush fast path. *)
+   clean-flush fast path.  Every flush bumps [changes], clean or not. *)
 let flush t =
   let dirty = t.n_dirty in
+  t.changes <- t.changes + 1;
   if t.tick <> 0 then begin
     let sets = t.geometry.sets and ways = t.geometry.ways in
     let first = ref sets in

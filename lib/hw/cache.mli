@@ -109,6 +109,12 @@ val valid_count : t -> int
 val iter_lines : t -> (set:int -> way:int -> tag:int -> dirty:bool -> owner:int -> unit) -> unit
 (** Iterate over all valid lines (for invariant checks). *)
 
+val changes : t -> int
+(** A change counter: bumped by every write that stales a set's digest
+    and by every {!flush}.  While it reads the same, every digest of the
+    cache ({!digest_set}, {!digest}, {!digest_colours}) is unchanged, so
+    a caller may keep a derived value keyed on it. *)
+
 val digest_set : t -> int -> int64
 (** Deterministic digest of one set's contents (tags, validity, dirtiness,
     recency).  This is the state a single access's latency may legitimately

@@ -141,10 +141,33 @@ let absent ~name:rname ~placeholder_digest : t =
 (* The Lo-coloured slice of a partitioned cache, read once per Lo
    instruction boundary in the unwinding check.  The 0x22L seed
    reproduces the pre-registry "llc-partition" view component
-   bit-identically. *)
-let cache_lo_slice cache (v : view) =
-  Cache.digest_colours cache ~page_bits:v.page_bits ~colours:v.lo_colours
-    ~seed:0x22L
+   bit-identically.  The slice is a function of the cache's digests, the
+   colour list and the page bits, so it is kept until one of them
+   changes: the cache's change counter, the list (physically: a resolved
+   Lo view passes the same list at every boundary) or the page bits. *)
+type slice_memo = {
+  mutable changes : int;
+  mutable colours : int list;
+  mutable page_bits : int;
+  mutable slice : int64;
+}
+
+let cache_lo_slice cache =
+  let m = { changes = -1; colours = []; page_bits = 0; slice = 0L } in
+  fun (v : view) ->
+    let changes = Cache.changes cache in
+    if
+      changes <> m.changes || v.lo_colours != m.colours
+      || v.page_bits <> m.page_bits
+    then begin
+      m.slice <-
+        Cache.digest_colours cache ~page_bits:v.page_bits ~colours:v.lo_colours
+          ~seed:0x22L;
+      m.changes <- changes;
+      m.colours <- v.lo_colours;
+      m.page_bits <- v.page_bits
+    end;
+    m.slice
 
 let of_cache ~name:rname ?(classification = Flushable) ?defence ?colours cache
     : t =

@@ -288,9 +288,6 @@ let kernel_path t ~core (dom : Domain.t) kind =
   done;
   !cost
 
-let runnable_threads (dom : Domain.t) =
-  List.filter Thread.runnable (Domain.threads dom)
-
 let live_thread_exists (dom : Domain.t) =
   List.exists
     (fun th -> th.Thread.state <> Thread.Halted)
@@ -449,34 +446,30 @@ let halt_thread t ~core (dom : Domain.t) (th : Thread.t) =
          at = Machine.now t.m ~core;
        })
 
-let exec_instr t ~core (dom : Domain.t) (th : Thread.t) =
+let advance (th : Thread.t) =
+  th.Thread.pc <- th.Thread.pc + 1;
+  false
+
+let fault t ~core dom th vaddr =
+  do_fault t ~core dom th vaddr;
+  true
+
+(* Execute [th]'s next instruction; [true] iff it faulted. *)
+let exec_body t ~core (dom : Domain.t) (th : Thread.t) =
   let translate = Domain.translate dom in
   let asid = dom.Domain.asid in
   let did = dom.Domain.did in
   let pc_vaddr = Thread.instr_vaddr th in
-  let started = Machine.now t.m ~core in
-  (* faults and system calls enter the kernel: Case 2a; everything else is
-     an ordinary user step: Case 1 *)
-  let kind =
-    ref
-      (match Thread.current_instr th with
-      | Some (Program.Syscall _) -> Thread.Trap
-      | Some _ | None -> Thread.User)
-  in
-  let finish () =
-    Thread.record_cost th !kind (Machine.now t.m ~core - started)
-  in
-  Fun.protect ~finally:finish @@ fun () ->
-  let do_fault t ~core dom th vaddr =
-    kind := Thread.Trap;
-    do_fault t ~core dom th vaddr
-  in
   match Machine.fetch t.m ~core ~asid ~domain:did ~translate pc_vaddr with
-  | Error `Fault -> do_fault t ~core dom th pc_vaddr
+  | Error `Fault -> fault t ~core dom th pc_vaddr
   | Ok (_ : int) -> (
-    match Thread.current_instr th with
-    | None | Some Program.Halt -> halt_thread t ~core dom th
-    | Some instr -> (
+    let pc = th.Thread.pc in
+    if pc < 0 || pc >= Array.length th.Thread.prog then begin
+      halt_thread t ~core dom th;
+      false
+    end
+    else
+      let instr = th.Thread.prog.(pc) in
       match instr with
       | Program.Load v | Program.Store v -> (
         let write = match instr with Program.Store _ -> true | _ -> false in
@@ -484,38 +477,38 @@ let exec_instr t ~core (dom : Domain.t) (th : Thread.t) =
           if write then Machine.store else Machine.load
         in
         match access t.m ~core ~asid ~domain:did ~translate ~pc:pc_vaddr v with
-        | Error `Fault -> do_fault t ~core dom th v
-        | Ok (_ : int) -> th.Thread.pc <- th.Thread.pc + 1)
+        | Error `Fault -> fault t ~core dom th v
+        | Ok (_ : int) -> advance th)
       | Program.Timed_load v -> (
         match
           Machine.load t.m ~core ~asid ~domain:did ~translate ~pc:pc_vaddr v
         with
-        | Error `Fault -> do_fault t ~core dom th v
+        | Error `Fault -> fault t ~core dom th v
         | Ok cycles ->
           Thread.observe th (Event.Latency cycles);
-          th.Thread.pc <- th.Thread.pc + 1)
+          advance th)
       | Program.Clflush v -> (
         match Machine.flush_line t.m ~core ~asid ~translate v with
-        | Error `Fault -> do_fault t ~core dom th v
-        | Ok (_ : int) -> th.Thread.pc <- th.Thread.pc + 1)
+        | Error `Fault -> fault t ~core dom th v
+        | Ok (_ : int) -> advance th)
       | Program.Compute n ->
         let (_ : int) = Machine.compute t.m ~core ~cycles:n in
-        th.Thread.pc <- th.Thread.pc + 1
+        advance th
       | Program.Branch { tag; taken } ->
         let (_ : int) = Machine.branch t.m ~core ~pc:(tag * 4) ~taken in
-        th.Thread.pc <- th.Thread.pc + 1
+        advance th
       | Program.Read_clock ->
         let (_ : int) = Machine.compute t.m ~core ~cycles:1 in
         Thread.observe th (Event.Clock (Machine.now t.m ~core));
-        th.Thread.pc <- th.Thread.pc + 1
+        advance th
       | Program.Set (r, v) ->
         Thread.set_reg th r v;
         let (_ : int) = Machine.compute t.m ~core ~cycles:1 in
-        th.Thread.pc <- th.Thread.pc + 1
+        advance th
       | Program.Add (rd, rs, imm) ->
         Thread.set_reg th rd (Thread.reg th rs + imm);
         let (_ : int) = Machine.compute t.m ~core ~cycles:1 in
-        th.Thread.pc <- th.Thread.pc + 1
+        advance th
       | Program.Load_idx { base; index; scale }
       | Program.Store_idx { base; index; scale } -> (
         let v = base + (Thread.reg th index * scale) in
@@ -524,10 +517,37 @@ let exec_instr t ~core (dom : Domain.t) (th : Thread.t) =
         in
         let access = if write then Machine.store else Machine.load in
         match access t.m ~core ~asid ~domain:did ~translate ~pc:pc_vaddr v with
-        | Error `Fault -> do_fault t ~core dom th v
-        | Ok (_ : int) -> th.Thread.pc <- th.Thread.pc + 1)
-      | Program.Syscall sc -> do_syscall t ~core dom th sc
-      | Program.Halt -> halt_thread t ~core dom th))
+        | Error `Fault -> fault t ~core dom th v
+        | Ok (_ : int) -> advance th)
+      | Program.Syscall sc ->
+        do_syscall t ~core dom th sc;
+        false
+      | Program.Halt ->
+        halt_thread t ~core dom th;
+        false)
+
+(* Faults and system calls enter the kernel: Case 2a; everything else is
+   an ordinary user step: Case 1.  A step that raises still records its
+   cost, under its instruction's kind, before the exception goes on. *)
+let exec_instr t ~core (dom : Domain.t) (th : Thread.t) =
+  let started = Machine.now t.m ~core in
+  let pc = th.Thread.pc in
+  let syscall =
+    pc >= 0
+    && pc < Array.length th.Thread.prog
+    && match th.Thread.prog.(pc) with Program.Syscall _ -> true | _ -> false
+  in
+  match exec_body t ~core dom th with
+  | faulted ->
+    Thread.record_cost th
+      (if syscall || faulted then Thread.Trap else Thread.User)
+      (Machine.now t.m ~core - started)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Thread.record_cost th
+      (if syscall then Thread.Trap else Thread.User)
+      (Machine.now t.m ~core - started);
+    Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Interrupts                                                          *)
@@ -589,7 +609,7 @@ let pick_core t =
    interrupt can ever fire on a live core. *)
 let can_progress t =
   Array.exists
-    (fun (d : Domain.t) -> runnable_threads d <> [])
+    (fun (d : Domain.t) -> List.exists Thread.runnable (Domain.threads d))
     t.doms
   || List.exists
        (fun (_, irq) ->
@@ -600,22 +620,22 @@ let can_progress t =
 let all_halted t =
   Array.for_all (fun d -> not (live_thread_exists d)) t.doms
 
-let next_runnable (cs : core_state) (dom : Domain.t) =
-  let threads = Array.of_list (Domain.threads dom) in
-  let n = Array.length threads in
-  if n = 0 then None
+(* Round robin: the first runnable thread from the cursor on, wrapping
+   once; the cursor moves past it. *)
+let rec first_runnable (cs : core_state) threads ~n k =
+  if k >= n then None
   else
-    let rec go k =
-      if k >= n then None
-      else
-        let th = threads.((cs.rr + k) mod n) in
-        if Thread.runnable th then begin
-          cs.rr <- (cs.rr + k + 1) mod n;
-          Some th
-        end
-        else go (k + 1)
-    in
-    go 0
+    let i = (cs.rr + k) mod n in
+    let th = List.nth threads i in
+    if Thread.runnable th then begin
+      cs.rr <- (i + 1) mod n;
+      Some th
+    end
+    else first_runnable cs threads ~n (k + 1)
+
+let next_runnable (cs : core_state) (dom : Domain.t) =
+  let threads = Domain.threads dom in
+  first_runnable cs threads ~n:(List.length threads) 0
 
 let step t =
   if not (can_progress t) then false

@@ -3,8 +3,6 @@ open Tpro_kernel
 
 type divergence = { lo_step : int; component : string }
 
-let hash_int64s = List.fold_left Rng.combine 0x11L
-
 let obs_code = function
   | Event.Clock c -> Int64.of_int ((c lsl 2) lor 1)
   | Event.Latency l -> Int64.of_int ((l lsl 2) lor 2)
@@ -16,104 +14,128 @@ let state_code = function
   | Thread.Blocked_recv ep -> 5 + (ep lsl 2)
   | Thread.Halted -> 2
 
-(* Incremental observation-trace hash.
+let rec threads_hash acc = function
+  | [] -> acc
+  | th :: rest ->
+    threads_hash
+      (Rng.combine acc
+         (Int64.of_int
+            ((th.Thread.pc lsl 16)
+            lxor (state_code th.Thread.state lsl 4)
+            lxor th.Thread.msg)))
+      rest
 
-   [lo_view] hashes Lo's complete observation trace at every Lo
-   instruction boundary; folding the whole trace each time is quadratic
-   in trace length and dominated E7.  The hash combines one fold per
-   thread, and observation lists are strictly append-only, so the memo
-   keeps each thread's fold and extends it by only the observations
-   recorded since the previous boundary — the returned value is
-   bit-identical to the from-scratch [thread_hash] folds. *)
-type obs_memo = {
-  mutable m_threads : Thread.t list;
-  mutable m_counts : int array;
-  mutable m_accs : int64 array;  (** [m_accs.(i)]: thread [i]'s fold *)
+(* [acc] chained with the codes of the [n] newest observations of a
+   newest-first list, oldest first. *)
+let rec chain_newest acc n obs_rev =
+  match obs_rev with
+  | o :: older when n > 0 -> Rng.chain (chain_newest acc (n - 1) older) (obs_code o)
+  | _ -> acc
+
+(* Lo's view, resolved once per run.  Everything a boundary needs that
+   does not change while the run executes is looked up here: the
+   observer's domain, its core's clock, and the in-scope resources of the
+   machine's registry with their component names.  A boundary then
+   writes every component's digest into [buf] and builds nothing.
+
+   The components, in view order: Lo's thread states, Lo's observation
+   trace, one per in-scope registered resource (named by its obligation,
+   [flush:<r>] / [partition:<r>], and valued by the resource's own
+   Lo-projection: the whole digest of a flushable, the Lo-coloured slice
+   of a partitioned cache), and the core's clock.  Out-of-scope resources
+   contribute nothing; their absence is what the composed theorem's
+   acknowledgement machinery makes loud.  Comparing per-resource
+   projections is component-wise at least as strict as the old chained
+   "core-private"/"llc-partition" digests, and a divergence names the
+   lemma that broke.
+
+   The observation trace is hashed incrementally.  The hash combines one
+   fold per thread, and observation lists are append-only, so the view
+   keeps each thread's fold and extends it by the observations recorded
+   since the previous boundary; a changed thread list (a spawn) refolds
+   every thread.  The value is bit-identical to folding every trace from
+   scratch, which re-folding at every boundary would make quadratic. *)
+type view = {
+  dom : Domain.t;
+  clock : Clock.t;
+  names : string array;  (** component names, view order *)
+  resources : Resource.t array;  (** components [2 ..], in view order *)
+  projection : Resource.view;
+  buf : Bytes.t;  (** each component's digest, int64 LE, view order *)
+  mutable threads : Thread.t list;  (** the list [accs] folds *)
+  mutable counts : int array;  (** observations folded, per thread *)
+  mutable accs : int64 array;  (** each thread's observation fold *)
 }
 
-let obs_memo () = { m_threads = []; m_counts = [||]; m_accs = [||] }
-
-let rec take n = function
-  | x :: r when n > 0 -> x :: take (n - 1) r
-  | _ -> []
-
-let fold_codes acc obs =
-  List.fold_left (fun a o -> Rng.chain a (obs_code o)) acc obs
-
-let thread_hash th = fold_codes 0x11L (Thread.observations th)
-
-let obs_hash memo threads =
-  if not (List.equal ( == ) threads memo.m_threads) then begin
-    (* first call, or a spawn: fold every thread afresh *)
-    memo.m_threads <- threads;
-    memo.m_counts <- Array.of_list (List.map Thread.obs_count threads);
-    memo.m_accs <- Array.of_list (List.map thread_hash threads)
-  end
-  else
-    List.iteri
-      (fun i th ->
-        let count = Thread.obs_count th in
-        if count <> memo.m_counts.(i) then begin
-          (* the list is newest-first, so reverse the new tail *)
-          memo.m_accs.(i) <-
-            fold_codes memo.m_accs.(i)
-              (List.rev
-                 (take (count - memo.m_counts.(i))
-                    (Thread.observations_rev th)));
-          memo.m_counts.(i) <- count
-        end)
-      threads;
-  Array.fold_left Rng.combine 0x11L memo.m_accs
-
-let lo_view ?memo k ~lo_dom =
-  let dom = Kernel.domain k lo_dom in
-  let m = Kernel.machine k in
+let resolve k ~lo_dom =
+  let dom = Kernel.domain k lo_dom and m = Kernel.machine k in
   let core = dom.Domain.core in
-  let threads =
-    hash_int64s
-      (List.map
-         (fun th ->
-           Int64.of_int
-             ((th.Thread.pc lsl 16)
-             lxor (state_code th.Thread.state lsl 4)
-             lxor th.Thread.msg))
-         (Domain.threads dom))
-  in
-  let observations =
-    match memo with
-    | Some m -> obs_hash m (Domain.threads dom)
-    | None -> hash_int64s (List.map thread_hash (Domain.threads dom))
-  in
-  (* Registry fold: Lo's view of the microarchitecture is one component
-     per registered in-scope resource, named by its obligation
-     ([flush:<r>] / [partition:<r>]) and valued by the resource's own
-     Lo-projection ([Resource.lo_project] — the whole digest for a
-     flushable resource, the Lo-coloured slice for a partitioned one).
-     Out-of-scope resources contribute nothing here; their absence is
-     what the composed theorem's acknowledgement machinery makes loud.
-     Comparing per-resource projections is component-wise at least as
-     strict as the old chained "core-private"/"llc-partition" digests,
-     and a divergence now names the lemma that broke.  No memo is needed
-     here: a flushable resource's projection is its own memoised digest,
-     and the LLC slice walks only Lo's colours over per-set memos. *)
-  let view =
-    {
-      Resource.lo_colours = dom.Domain.colours;
-      page_bits = Kernel.page_bits k;
-    }
-  in
-  let resources =
+  let components =
     List.filter_map
-      (fun r ->
-        match Resource.lemma_component r with
-        | Some cid -> Some (cid, Resource.lo_project r view)
-        | None -> None)
+      (fun r -> Option.map (fun cid -> (cid, r)) (Resource.lemma_component r))
       (Machine.core_resources m ~core @ Machine.shared_resources m)
   in
-  ("lo-threads", threads)
-  :: ("lo-observations", observations)
-  :: resources
-  @ [ ("kernel:clock", Int64.of_int (Machine.now m ~core)) ]
+  let names =
+    Array.of_list
+      (("lo-threads" :: "lo-observations" :: List.map fst components)
+      @ [ "kernel:clock" ])
+  in
+  {
+    dom;
+    clock = Machine.clock m ~core;
+    names;
+    resources = Array.of_list (List.map snd components);
+    projection =
+      { Resource.lo_colours = dom.Domain.colours; page_bits = Kernel.page_bits k };
+    buf = Bytes.create (8 * Array.length names);
+    threads = [];
+    counts = [||];
+    accs = [||];
+  }
+
+let rec extend v i = function
+  | [] -> ()
+  | th :: rest ->
+    let count = Thread.obs_count th in
+    if count <> v.counts.(i) then begin
+      v.accs.(i) <-
+        chain_newest v.accs.(i) (count - v.counts.(i))
+          (Thread.observations_rev th);
+      v.counts.(i) <- count
+    end;
+    extend v (i + 1) rest
+
+let observations_hash v =
+  let threads = Domain.threads v.dom in
+  if threads != v.threads then begin
+    v.threads <- threads;
+    v.counts <- Array.of_list (List.map Thread.obs_count threads);
+    v.accs <-
+      Array.of_list
+        (List.map
+           (fun th ->
+             chain_newest 0x11L (Thread.obs_count th)
+               (Thread.observations_rev th))
+           threads)
+  end
+  else extend v 0 threads;
+  Array.fold_left Rng.combine 0x11L v.accs
+
+(* Lo's view of the current state, into [v.buf]. *)
+let fill v =
+  let b = v.buf and n = Array.length v.resources in
+  Bytes.set_int64_le b 0 (threads_hash 0x11L (Domain.threads v.dom));
+  Bytes.set_int64_le b 8 (observations_hash v);
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * (i + 2)) (Resource.lo_project v.resources.(i) v.projection)
+  done;
+  Bytes.set_int64_le b (8 * (n + 2)) (Int64.of_int (Clock.now v.clock))
+
+let lo_view k ~lo_dom =
+  let v = resolve k ~lo_dom in
+  fill v;
+  List.init (Array.length v.names) (fun i ->
+      (v.names.(i), Bytes.get_int64_le v.buf (8 * i)))
 
 (* Pacing: "Lo instruction boundary [k]" means the nominated observer
    domain has completed [k] instructions.  Only [lo_dom]'s threads are
@@ -124,11 +146,12 @@ let lo_view ?memo k ~lo_dom =
    leak-free topology's view sample mid-stream state at misaligned
    points.  In the legacy Hi/Lo runs every observer thread belongs to
    [lo_dom], so the filtered count is identical to the old global one. *)
-let lo_count (run : Nonint.run) ~lo_dom =
-  List.fold_left
-    (fun acc th ->
-      if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
-    0 run.Nonint.observers
+let lo_threads (run : Nonint.run) ~lo_dom =
+  Array.of_list
+    (List.filter (fun th -> th.Thread.dom = lo_dom) run.Nonint.observers)
+
+let lo_count threads =
+  Array.fold_left (fun acc th -> acc + Thread.cost_count th) 0 threads
 
 (* ------------------------------------------------------------------ *)
 (* Sweeps, record then compare.  A sweep does not stop at the first
@@ -138,20 +161,22 @@ let lo_count (run : Nonint.run) ~lo_dom =
 
 let max_lo_steps = 20_000
 
-(* [Kernel.run]'s step hook: [f k view] at each Lo boundary [k <= limit]
-   the run has reached since the previous step, with Lo's view there. *)
-let at_boundaries (run : Nonint.run) ~lo_dom ~limit f =
-  let memo = obs_memo () and next = ref 1 in
+(* [Kernel.run]'s step hook: [f k] at each Lo boundary [k <= limit] the
+   run has reached since the previous step, with Lo's view there in
+   [v.buf]. *)
+let at_boundaries (run : Nonint.run) v ~lo_dom ~limit f =
+  let lo = lo_threads run ~lo_dom and next = ref 1 in
   fun (_ : int) ->
-    while !next <= limit && !next <= lo_count run ~lo_dom do
-      f !next (lo_view ~memo run.Nonint.kernel ~lo_dom);
+    while !next <= limit && !next <= lo_count lo do
+      fill v;
+      f !next;
       incr next
     done
 
 type record = {
   run : Nonint.run;
   lo_dom : int;
-  mutable names : string array;  (** view component names, view order *)
+  names : string array;  (** view component names, view order *)
   views : Buffer.t;  (** each boundary's component digests, int64 LE *)
 }
 
@@ -162,11 +187,18 @@ let record ?lo_dom (run : Nonint.run) =
     | None, th :: _ -> th.Thread.dom
     | None, [] -> invalid_arg "Unwinding.record: no observers"
   in
-  let r = { run; lo_dom; names = [||]; views = Buffer.create 4096 } in
-  ( at_boundaries run ~lo_dom ~limit:max_lo_steps (fun _ view ->
-        if r.names = [||] then r.names <- Array.of_list (List.map fst view);
-        List.iter (fun (_, d) -> Buffer.add_int64_le r.views d) view),
+  let v = resolve run.Nonint.kernel ~lo_dom in
+  let r = { run; lo_dom; names = v.names; views = Buffer.create 4096 } in
+  ( at_boundaries run v ~lo_dom ~limit:max_lo_steps (fun _ ->
+        Buffer.add_bytes r.views v.buf),
     r )
+
+let recorded_view r k =
+  let n = Array.length r.names in
+  if k < 1 || 8 * k * n > Buffer.length r.views then
+    invalid_arg "Unwinding.recorded_view: no such boundary";
+  let view = Buffer.sub r.views (8 * (k - 1) * n) (8 * n) in
+  List.init n (fun i -> (r.names.(i), String.get_int64_le view (8 * i)))
 
 type sweep = {
   run_a : Nonint.run;
@@ -178,25 +210,34 @@ type sweep = {
 }
 
 let sweep_against r run =
-  let n = Array.length r.names and views = Buffer.contents r.views in
-  let recorded = if n = 0 then 0 else String.length views / (8 * n) in
+  let v = resolve run.Nonint.kernel ~lo_dom:r.lo_dom in
+  let n = Array.length r.names in
+  if Array.length v.names <> n then
+    invalid_arg "Unwinding.sweep_against: the runs' views differ in shape";
+  let views = Buffer.contents r.views in
+  let recorded = String.length views / (8 * n) in
   let seen = Array.make n false and diverged = ref [] and boundaries = ref 0 in
-  let check_boundary k view =
+  let check_boundary k =
     boundaries := k;
-    List.iteri
-      (fun i (name, d) ->
-        let was = String.get_int64_le views (8 * (((k - 1) * n) + i)) in
-        if (not seen.(i)) && not (Int64.equal d was) then begin
-          seen.(i) <- true;
-          diverged := (name, k) :: !diverged
-        end)
-      view
+    let base = 8 * (k - 1) * n in
+    for i = 0 to n - 1 do
+      if
+        (not seen.(i))
+        && not
+             (Int64.equal
+                (Bytes.get_int64_le v.buf (8 * i))
+                (String.get_int64_le views (base + (8 * i))))
+      then begin
+        seen.(i) <- true;
+        diverged := (v.names.(i), k) :: !diverged
+      end
+    done
   in
   let result () =
     (* where the runs' final Lo counts differ, the shorter run's next
        boundary is the first one only the longer run reached *)
-    let ra = lo_count r.run ~lo_dom:r.lo_dom
-    and rb = lo_count run ~lo_dom:r.lo_dom in
+    let ra = lo_count (lo_threads r.run ~lo_dom:r.lo_dom)
+    and rb = lo_count (lo_threads run ~lo_dom:r.lo_dom) in
     {
       run_a = r.run;
       run_b = run;
@@ -208,7 +249,7 @@ let sweep_against r run =
       boundaries = !boundaries;
     }
   in
-  (at_boundaries run ~lo_dom:r.lo_dom ~limit:recorded check_boundary, result)
+  (at_boundaries run v ~lo_dom:r.lo_dom ~limit:recorded check_boundary, result)
 
 let sweep_pair ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
   let max_steps = Option.value max_kernel_steps ~default:max_int in

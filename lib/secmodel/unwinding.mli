@@ -33,18 +33,10 @@ type divergence = {
   component : string;   (** which part of Lo's view differs *)
 }
 
-type obs_memo
-(** Incremental accumulator for the observation-trace component of the
-    view.  Observation lists are append-only, so a memo carried across
-    successive boundaries folds only the newly recorded observations —
-    the value stays bit-identical to the from-scratch fold. *)
-
-val obs_memo : unit -> obs_memo
-(** A fresh memo; use one per run. *)
-
-val lo_view : ?memo:obs_memo -> Kernel.t -> lo_dom:int -> (string * int64) list
-(** Digest of each component of Lo's view of the current state.
-    Without [memo] the observation trace is re-folded from scratch. *)
+val lo_view : Kernel.t -> lo_dom:int -> (string * int64) list
+(** Digest of each component of Lo's view of the current state, in view
+    order.  The sweeps resolve the view's parts once per run and reuse
+    them at every boundary; this is a one-shot use of the same view. *)
 
 type record
 (** Lo's view at each Lo boundary of one run, up to 20,000 boundaries:
@@ -56,7 +48,15 @@ val record : ?lo_dom:int -> Nonint.run -> (int -> unit) * record
     fills.  [lo_dom] nominates the observer domain — any domain of the
     run, so the same machinery evaluates every domain pair of an
     N-domain topology; the default (the first observer thread's domain)
-    is the legacy Hi/Lo behaviour. *)
+    is the legacy Hi/Lo behaviour.  The observer's domain, core and
+    threads and the registry's in-scope resources are looked up once,
+    when the hook is built (likewise by {!sweep_against}): a resource
+    registered after that is not in the view. *)
+
+val recorded_view : record -> int -> (string * int64) list
+(** Lo's view as recorded at Lo boundary [k] (from 1), in the form
+    {!lo_view} returns.  Raises [Invalid_argument] for a boundary the
+    record does not hold. *)
 
 type sweep = {
   run_a : Nonint.run;  (** the recorded run *)

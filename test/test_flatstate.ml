@@ -355,7 +355,15 @@ let prop_eviction_writeback_colours =
    ascending order, chained iff its colour is owned.  Three geometries
    cover the colour arithmetic's regimes: the default LLC (16 colours of
    64 sets), a single colour spanning every set (colouring off), and more
-   colours than sets (one set per colour, the rest own nothing). *)
+   colours than sets (one set per colour, the rest own nothing).  The
+   partitioned cache's Lo projection, which keeps its slice until the
+   cache's change counter, the colour list or the page bits change, must
+   equal [digest_colours] with the 0x22L seed after every operation.
+   Each colour list has a projection of its own, which sees the same list
+   at every read, so only the change counter can tell it that the cache
+   changed; one more projection serves every list in turn, so its list
+   changes between reads.  Each is read twice per list, so its reuse is
+   checked as well as its recomputation. *)
 let all_sets_walk cache ~page_bits ~colours ~seed =
   let g = Cache.geom cache in
   let n_colours = Cache.n_colours g ~page_bits in
@@ -405,15 +413,31 @@ let prop_digest_colours_differential =
           let c = Cache.create g in
           let n = Cache.n_colours g ~page_bits in
           let rng = Rng.create seed in
+          let projection () =
+            Resource.lo_project
+              (Resource.of_cache ~name:"llc"
+                 ~classification:Resource.Partitionable c)
+          in
+          let shared = projection () in
+          let shapes =
+            List.map
+              (fun colours -> (colours, projection ()))
+              (colour_shapes ~n drawn)
+          in
           let agree () =
             List.for_all
-              (fun colours ->
+              (fun (colours, own) ->
+                let view = { Resource.lo_colours = colours; page_bits } in
+                let slice = Cache.digest_colours c ~page_bits ~colours ~seed:0x22L in
                 List.for_all
                   (fun seed ->
                     Cache.digest_colours c ~page_bits ~colours ~seed
                     = all_sets_walk c ~page_bits ~colours ~seed)
-                  [ 0x22L; 1L ])
-              (colour_shapes ~n drawn)
+                  [ 0x22L; 1L ]
+                && List.for_all
+                     (fun project -> project view = slice && project view = slice)
+                     [ own; shared ])
+              shapes
           in
           n = colours
           && agree ()

@@ -69,6 +69,66 @@ let prop_alloc_never_two_owners =
       in
       List.length frames = List.length (List.sort_uniq compare frames))
 
+(* The allocator against the linear scan its per-colour cursors
+   replaced: the lowest free frame whose colour is in the list, found by
+   walking every frame from 0.  Random alloc/free sequences over
+   [n_frames] frames (some owned before the allocator exists) and
+   [n_colours] colours; colour lists may repeat colours and name
+   colours out of range, negative ones included.  Every allocation must
+   return the reference's frame, and the free counts must agree at the
+   end. *)
+type op = Alloc of int list | Free of int
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_bound 120)
+      (frequency
+         [
+           (3, map (fun cs -> Alloc cs) (list_size (int_bound 5) (int_range (-2) 9)));
+           (1, map (fun f -> Free f) (int_bound 1000));
+         ]))
+
+let prop_alloc_matches_linear_scan =
+  QCheck.Test.make ~name:"alloc == linear scan" ~count:300
+    QCheck.(
+      triple (int_range 1 8) (int_range 1 70)
+        (make ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops)) gen_ops))
+    (fun (n_colours, n_frames, ops) ->
+      let mem = Mem.create ~n_frames () in
+      for f = 0 to n_frames - 1 do
+        if f mod 7 = 3 then Mem.set_owner mem ~frame:f ~owner:99
+      done;
+      let a = Frame_alloc.create mem ~n_colours in
+      let free = Array.init n_frames (fun f -> f mod 7 <> 3) in
+      let scan colours =
+        let rec go f =
+          if f >= n_frames then None
+          else if free.(f) && List.mem (f mod n_colours) colours then Some f
+          else go (f + 1)
+        in
+        go 0
+      in
+      List.for_all
+        (function
+          | Alloc colours ->
+            let want = scan colours in
+            Option.iter (fun f -> free.(f) <- false) want;
+            Frame_alloc.alloc a ~owner:1 ~colours = want
+          | Free f ->
+            let f = f mod n_frames in
+            free.(f) <- true;
+            Frame_alloc.free a ~frame:f;
+            true)
+        ops
+      && List.for_all
+           (fun c ->
+             Frame_alloc.free_count a ~colour:c
+             = List.length
+                 (List.filter
+                    (fun f -> free.(f) && f mod n_colours = c)
+                    (List.init n_frames Fun.id)))
+           (List.init n_colours Fun.id))
+
 let suite =
   [
     Alcotest.test_case "colour_of_frame" `Quick test_colour_of_frame;
@@ -80,4 +140,5 @@ let suite =
     Alcotest.test_case "respects preexisting ownership" `Quick
       test_respects_preexisting_ownership;
     QCheck_alcotest.to_alcotest prop_alloc_never_two_owners;
+    QCheck_alcotest.to_alcotest prop_alloc_matches_linear_scan;
   ]

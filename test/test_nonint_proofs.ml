@@ -1,3 +1,4 @@
+open Tpro_hw
 open Tpro_kernel
 open Tpro_secmodel
 open Time_protection
@@ -174,43 +175,132 @@ let lo_count (run : Nonint.run) ~lo_dom =
       if th.Thread.dom = lo_dom then acc + Thread.cost_count th else acc)
     0 run.Nonint.observers
 
-(* The observation-hash memo is the one memo left in [lo_view]: stepping
-   a run boundary by boundary, as the sweep does, the memoised view must
-   equal a from-scratch one at every Lo boundary. *)
-let check_memo_matches_fresh name (run : Nonint.run) ~lo_dom =
+(* Lo's view folded from scratch, as [Unwinding.lo_view] computed it
+   before the sweeps resolved the view once per run and hashed the
+   observation trace incrementally: the reference the sweep's view must
+   equal at every boundary.  The LLC slice is read straight from the
+   cache, leaving the registry resource's memo to the view under test. *)
+let fresh_view k ~lo_dom =
+  let dom = Kernel.domain k lo_dom in
+  let m = Kernel.machine k in
+  let core = dom.Domain.core in
+  let hash = List.fold_left Rng.combine 0x11L in
+  let obs_code = function
+    | Event.Clock c -> Int64.of_int ((c lsl 2) lor 1)
+    | Event.Latency l -> Int64.of_int ((l lsl 2) lor 2)
+    | Event.Recv m -> Int64.of_int ((m lsl 2) lor 3)
+  in
+  let state_code = function
+    | Thread.Ready -> 0
+    | Thread.Blocked_send ep -> 4 + (ep lsl 2)
+    | Thread.Blocked_recv ep -> 5 + (ep lsl 2)
+    | Thread.Halted -> 2
+  in
+  let threads = Domain.threads dom in
+  let view =
+    { Resource.lo_colours = dom.Domain.colours; page_bits = Kernel.page_bits k }
+  in
+  let project r =
+    if Resource.classification r = Resource.Partitionable then
+      Cache.digest_colours (Machine.llc m) ~page_bits:view.Resource.page_bits
+        ~colours:view.Resource.lo_colours ~seed:0x22L
+    else Resource.lo_project r view
+  in
+  ("lo-threads",
+   hash
+     (List.map
+        (fun th ->
+          Int64.of_int
+            ((th.Thread.pc lsl 16)
+            lxor (state_code th.Thread.state lsl 4)
+            lxor th.Thread.msg))
+        threads))
+  :: ("lo-observations",
+      hash
+        (List.map
+           (fun th ->
+             List.fold_left
+               (fun a o -> Rng.chain a (obs_code o))
+               0x11L (Thread.observations th))
+           threads))
+  :: List.filter_map
+       (fun r ->
+         Option.map (fun cid -> (cid, project r)) (Resource.lemma_component r))
+       (Machine.core_resources m ~core @ Machine.shared_resources m)
+  @ [ ("kernel:clock", Int64.of_int (Machine.now m ~core)) ]
+
+(* The view a sweep records, resolved once per run and carried from
+   boundary to boundary, must equal the from-scratch one at every Lo
+   boundary.  [spawn_at] spawns one more Lo thread, one that makes
+   observations of its own, at that boundary: the resolved view must
+   notice the changed thread list. *)
+let check_memo_matches_fresh ?spawn_at name (run : Nonint.run) ~lo_dom =
   List.iter (fun th -> Thread.set_traced th true) run.Nonint.observers;
   let k = run.Nonint.kernel in
-  let memo = Unwinding.obs_memo () in
-  let rec go boundary =
-    if lo_count run ~lo_dom >= boundary then begin
-      if Unwinding.lo_view ~memo k ~lo_dom <> Unwinding.lo_view k ~lo_dom then
-        Alcotest.failf "%s: memoised view differs at Lo boundary %d" name
-          boundary;
-      go (boundary + 1)
-    end
-    else if Kernel.step k then go boundary
-    else boundary - 1
+  let record_step, record = Unwinding.record ~lo_dom run in
+  let next = ref 1 in
+  let on_step n =
+    record_step n;
+    while !next <= 20_000 && lo_count run ~lo_dom >= !next do
+      if Unwinding.recorded_view record !next <> fresh_view k ~lo_dom then
+        Alcotest.failf "%s: the sweep's view differs at Lo boundary %d" name
+          !next;
+      if Some !next = spawn_at then
+        ignore
+          (Kernel.spawn k (Kernel.domain k lo_dom)
+             Program.[| Read_clock; Compute 40; Read_clock; Halt |]);
+      incr next
+    done
   in
-  let boundaries = go 1 in
+  Kernel.run ~max_steps:2_000_000 ~on_step k;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: %d boundaries compared" name boundaries)
-    true (boundaries > 10)
+    (Printf.sprintf "%s: %d boundaries compared" name (!next - 1))
+    true (!next > 10)
 
 let test_memo_view_two_domain () =
-  let run = build Presets.full ~secret:0 in
-  check_memo_matches_fresh "full preset" run
-    ~lo_dom:(List.hd run.Nonint.observers).Thread.dom
+  List.iter
+    (fun (name, cfg) ->
+      let run = build cfg ~secret:0 in
+      check_memo_matches_fresh (name ^ " preset") run
+        ~lo_dom:(List.hd run.Nonint.observers).Thread.dom)
+    Presets.known;
+  let run = build Presets.full ~secret:1 in
+  check_memo_matches_fresh ~spawn_at:5 "full preset, spawn" run
+    ~lo_dom:(List.hd run.Nonint.observers).Thread.dom;
+  List.iteri
+    (fun preset (name, _) ->
+      let s =
+        {
+          (Tpro_fuzz.Scenario.generate ~seed:42 preset) with
+          Tpro_fuzz.Scenario.preset;
+          oracle = Tpro_fuzz.Scenario.Nonint;
+        }
+      in
+      let run = Tpro_fuzz.Scenario.build_ni s ~secret:s.secret_b in
+      check_memo_matches_fresh ("fuzz machine " ^ name) run
+        ~lo_dom:(List.hd run.Nonint.observers).Thread.dom)
+    Tpro_fuzz.Scenario.machine_presets
 
+(* Seed-42 topologies: the first with more than one core, and the first
+   with SMT, with a BTB, and with an observer owning several colours. *)
 let test_memo_view_topology () =
-  let t =
-    List.find
-      (fun t -> t.Tpro_fuzz.Topology.n_cores > 1)
-      (List.init 50 (Tpro_fuzz.Topology.generate ~seed:42))
-  in
-  check_memo_matches_fresh
-    (Printf.sprintf "topology %d (%d cores)" t.idx t.n_cores)
-    (Tpro_fuzz.Topology.build t ~vary:t.deep_hi ~secret:t.secret_b)
-    ~lo_dom:t.deep_lo
+  let open Tpro_fuzz.Topology in
+  let ts = List.init 60 (generate ~seed:42) in
+  List.iter
+    (fun (what, p) ->
+      match List.find_opt p ts with
+      | None -> Alcotest.failf "no seed-42 topology %s" what
+      | Some t ->
+        check_memo_matches_fresh
+          (Printf.sprintf "topology %d (%s)" t.idx what)
+          (build t ~vary:t.deep_hi ~secret:t.secret_b)
+          ~lo_dom:t.deep_lo)
+    [
+      ("multi-core", fun t -> t.n_cores > 1);
+      ("smt", fun t -> t.smt);
+      ("btb", fun t -> t.btb);
+      ("multi-colour observer", fun t -> t.domains.(t.deep_lo).d_colours > 1);
+    ]
 
 (* --- the sweep against its lockstep reference ------------------------ *)
 
@@ -232,7 +322,6 @@ let lockstep_sweep ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
     | Some d -> d
     | None -> (List.hd a.Nonint.observers).Thread.dom
   in
-  let memo_a = Unwinding.obs_memo () and memo_b = Unwinding.obs_memo () in
   let budget_a = ref (Option.value max_kernel_steps ~default:max_int) in
   let budget_b = ref (Option.value max_kernel_steps ~default:max_int) in
   let advance run budget ~target =
@@ -256,8 +345,8 @@ let lockstep_sweep ?max_kernel_steps ?lo_dom ~build ~secret1 ~secret2 () =
       if a_live <> b_live then progress := Some k
       else if a_live then begin
         incr boundaries;
-        let va = Unwinding.lo_view ~memo:memo_a a.Nonint.kernel ~lo_dom in
-        let vb = Unwinding.lo_view ~memo:memo_b b.Nonint.kernel ~lo_dom in
+        let va = fresh_view a.Nonint.kernel ~lo_dom in
+        let vb = fresh_view b.Nonint.kernel ~lo_dom in
         if !components = [] then components := List.map fst va;
         List.iter2
           (fun (na, da) (_, db) ->
