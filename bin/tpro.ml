@@ -266,11 +266,11 @@ let run_replay path =
       exit 1
   in
   match Replay.load path with
-  | Error (Scenario.Io msg) ->
+  | Error (Replay.Io msg) ->
     Printf.eprintf "cannot replay %s: %s\n" path msg;
     exit 1
-  | Error (Scenario.Parse pe) ->
-    Format.eprintf "cannot replay %s: %a@." path Scenario.pp_parse_error pe;
+  | Error (Replay.Parse pe) ->
+    Format.eprintf "cannot replay %s: %a@." path Replay.pp_parse_error pe;
     exit 124
   | Ok (Replay.Scenario s) ->
     Format.printf "replaying %a@." Scenario.pp s;
@@ -304,7 +304,8 @@ let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
             | f :: _ ->
               Format.printf "fuzz: %d violation(s) in %d trials (seed %d)@.%a@."
                 (List.length c.failures) trials seed pp_failure f;
-              Tpro_fuzz.Scenario.save out (fst (Lazy.force f.shrunk));
+              Tpro_fuzz.Replay.(
+                save out (Scenario (fst (Lazy.force f.shrunk))));
               Format.printf
                 "shrunk counterexample written to %s (replay with: tpro fuzz \
                  --replay %s)@."
@@ -340,7 +341,7 @@ let run_topo seed trials jobs mutant max_domains max_cores replay out
               Format.printf
                 "topo: %d violation(s) in %d topologies (seed %d)@.%a@."
                 (List.length c.topo_failures) trials seed pp_topo_failure f;
-              Tpro_fuzz.Topology.save out f.topology;
+              Tpro_fuzz.Replay.(save out (Topology f.topology));
               Format.printf
                 "counterexample written to %s (replay with: tpro topo --replay \
                  %s)@."

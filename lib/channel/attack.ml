@@ -15,6 +15,12 @@ type outcome = {
   distinct_outputs : int;
 }
 
+let machine ~seed =
+  {
+    Tpro_hw.Machine.default_config with
+    lat = Tpro_hw.Latency.with_seed Tpro_hw.Latency.default seed;
+  }
+
 let run_trial scenario ~cfg ~seed ~secret =
   let kernel, spy = scenario.build ~cfg ~seed ~secret in
   Kernel.run ~max_steps:scenario.max_steps kernel;

@@ -27,6 +27,10 @@ type outcome = {
   distinct_outputs : int;
 }
 
+val machine : seed:int -> Tpro_hw.Machine.config
+(** The default machine with the latency function of [seed]: the machine
+    a channel builds on, unless it needs another shape. *)
+
 val run_trial : scenario -> cfg:Kernel.config -> seed:int -> secret:int -> int
 (** One end-to-end transmission; returns the decoded output symbol. *)
 

@@ -1,14 +1,7 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 30_000
 let pad = 15_000
-
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
 
 (* The predictor is indexed by (pc xor history); Trojan and spy agree on
    branch tags, and the Trojan hammers each tag hard enough to saturate
@@ -25,7 +18,7 @@ let warmup_tag = 99
 let warmup = Array.make 8 (Program.Branch { tag = warmup_tag; taken = true })
 
 let build ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let trojan_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let spy_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let taken = secret = 1 in

@@ -8,11 +8,7 @@ let pad = 15_000
    [btb_entries]; everything else (digesting, flushing, the taxonomy)
    picks the new resource up from the registry. *)
 let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-    btb_entries = Some 64;
-  }
+  { (Attack.machine ~seed) with Machine.btb_entries = Some 64 }
 
 (* Branch pc is tag*4 and the BTB is direct-mapped on (pc lsr 2) mod 64,
    so tags index the BTB directly; the two groups occupy disjoint BTB

@@ -10,21 +10,16 @@ let trojan_buf = 0x3000_0000
 let line_size = 64
 let lines_per_page = 64
 
-let l1_machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
+let l1_machine = Attack.machine
 
 (* Small LLC so a 4-page buffer can cover a whole colour group:
    256 sets x 4 ways x 64 B = 64 KiB, 4 page colours. *)
 let llc_machine ~seed =
   {
-    Machine.default_config with
+    (Attack.machine ~seed) with
     Machine.l1_geom = Cache.geometry ~sets:16 ~ways:2 ~line_bits:6 ();
     llc_geom = Cache.geometry ~sets:256 ~ways:4 ~line_bits:6 ();
     n_frames = 512;
-    lat = Latency.with_seed Latency.default seed;
   }
 
 (* The spy's program: prime, burn the rest of the slice (and the boundary)

@@ -1,4 +1,3 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 20_000
@@ -9,14 +8,8 @@ let unit_work = 500
 let n_secrets = 8
 let wcet = base_work + ((n_secrets - 1) * unit_work) + 200
 
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
-
 let build_with ~crypto ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let hi = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let lo = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   ignore (Kernel.spawn k hi (crypto ~secret));

@@ -1,4 +1,3 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 20_000
@@ -8,14 +7,8 @@ let lib_victim = 0x5000_0000 (* victim's view of the library *)
 let lib_spy = 0x6000_0000 (* spy's view *)
 let monitored_lines = 8
 
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
-
 let build ~shared ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let spy_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let victim_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   Kernel.map_region k victim_dom ~vbase:lib_victim ~pages:1;

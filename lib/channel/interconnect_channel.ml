@@ -13,11 +13,10 @@ let page = 4096
 
 let machine ~bus ~seed =
   {
-    Machine.default_config with
+    (Attack.machine ~seed) with
     Machine.n_cores = 2;
     bus_mode = bus;
     bus_service = 96;
-    lat = Latency.with_seed Latency.default seed;
   }
 
 (* Cold accesses: one distinct line per page, so every access goes to

@@ -1,14 +1,7 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 20_000
 let pad = 12_000
-
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
 
 (* The Trojan targets the middle of the spy's first slice.  Its arm
    syscall completes around [arm_done]; under padded scheduling the spy
@@ -25,7 +18,7 @@ let aim ~cfg =
   max 1 (spy_start + 5_000 - arm_done)
 
 let build ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let trojan_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let spy_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   Kernel.set_irq_owner k ~irq:1 ~dom:trojan_dom;

@@ -1,17 +1,10 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 20_000
 let pad = 15_000
 
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
-
 let build ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let trojan_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let spy_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let call = if secret = 0 then Program.Sys_null else Program.Sys_info in

@@ -1,4 +1,3 @@
-open Tpro_hw
 open Tpro_kernel
 
 let slice = 60_000
@@ -13,12 +12,6 @@ let line_size = 64
    calibration and avoids it). *)
 let table_offset = 1024
 let stride = 256
-
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.lat = Latency.with_seed Latency.default seed;
-  }
 
 (* The victim's "encryption round": the same code for every secret — the
    secret sits in r0 and selects the table line. *)
@@ -36,7 +29,7 @@ let victim_program =
     ]
 
 let build ~cfg ~seed ~secret =
-  let k = Kernel.create ~machine_config:(machine ~seed) cfg in
+  let k = Kernel.create ~machine_config:(Attack.machine ~seed) cfg in
   let spy_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   let victim_dom = Kernel.create_domain k ~slice ~pad_cycles:pad () in
   Kernel.map_region k spy_dom ~vbase:spy_buf ~pages:4;

@@ -6,12 +6,7 @@ let trojan_buf = 0x3000_0000
 let line_size = 64
 
 let machine ~smt ~seed =
-  {
-    Machine.default_config with
-    Machine.n_cores = 2;
-    smt;
-    lat = Latency.with_seed Latency.default seed;
-  }
+  { (Attack.machine ~seed) with Machine.n_cores = 2; smt }
 
 let build ~smt ~cfg ~seed ~secret =
   let k = Kernel.create ~machine_config:(machine ~smt ~seed) cfg in

@@ -8,12 +8,7 @@ let spy_buf = 0x2000_0000
 let trojan_buf = 0x3000_0000
 let page = 4096
 
-let machine ~seed =
-  {
-    Machine.default_config with
-    Machine.tlb_capacity = 32;
-    lat = Latency.with_seed Latency.default seed;
-  }
+let machine ~seed = { (Attack.machine ~seed) with Machine.tlb_capacity = 32 }
 
 (* Spy: warm its own 16 translations, bridge the slice boundary, then
    touch one line per page again, timed — a page walk (TLB miss) is an

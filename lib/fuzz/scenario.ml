@@ -5,12 +5,6 @@ module Presets = Time_protection.Presets
 module Wcet = Time_protection.Wcet
 module System = Time_protection.System
 
-(* Replay-file format version for {!to_string}/{!of_string}.  Version 1
-   is the flat two-domain scenario; version 2 is [Topology]'s N-domain
-   record.  [of_string] accepts files with no [format] line (pre-1.6
-   scenarios) as version 1. *)
-let format_version = 1
-
 type oracle = Nonint | Capacity | Legacy
 
 type mutant = No_mutant | Skip_flush | Drop_padding | Miscolour
@@ -242,7 +236,7 @@ let size s =
   + (s.slice / 100) + s.pad_extra
 
 (* ------------------------------------------------------------------ *)
-(* Replay files: one [key value] pair per line                          *)
+(* Names, as replay files and the CLI spell them                        *)
 
 let oracle_to_string = function
   | Nonint -> "nonint"
@@ -267,190 +261,6 @@ let mutant_of_string = function
   | "drop-padding" -> Some Drop_padding
   | "miscolour" -> Some Miscolour
   | _ -> None
-
-let int_fields s =
-  [
-    ("seed", s.seed);
-    ("idx", s.idx);
-    ("preset", s.preset);
-    ("lat_seed", s.lat_seed);
-    ("secret_a", s.secret_a);
-    ("secret_b", s.secret_b);
-    ("slice", s.slice);
-    ("pad_extra", s.pad_extra);
-    ("hi_seed", s.hi_seed);
-    ("hi_sweep", s.hi_sweep);
-    ("hi_len", s.hi_len);
-    ("lo_phases", s.lo_phases);
-    ("lo_lines", s.lo_lines);
-    ("channel", s.channel);
-    ("cap_seed", s.cap_seed);
-    ("trace_steps", s.trace_steps);
-  ]
-
-let to_string s =
-  String.concat "\n"
-    ([
-       "format " ^ string_of_int format_version;
-       "oracle " ^ oracle_to_string s.oracle;
-       "mutant " ^ mutant_to_string s.mutant;
-       "btb " ^ string_of_bool s.btb;
-     ]
-    @ List.map (fun (k, v) -> k ^ " " ^ string_of_int v) (int_fields s))
-  ^ "\n"
-
-(* Hardened replay-file parser.  Every malformed line is rejected with
-   a typed error carrying its 1-based line number: missing value,
-   non-integer value, unknown key, duplicate key.  Missing required
-   keys are reported at line 0 (they are a property of the whole file).
-   A fuzz harness replays untrusted files — its parser must not throw
-   [Failure]/[Not_found] at them. *)
-
-type parse_error = { line : int; reason : string }
-
-let pp_parse_error ppf e =
-  if e.line = 0 then Format.fprintf ppf "%s" e.reason
-  else Format.fprintf ppf "line %d: %s" e.line e.reason
-
-let int_keys =
-  [
-    "seed"; "idx"; "preset"; "lat_seed"; "secret_a"; "secret_b"; "slice";
-    "pad_extra"; "hi_seed"; "hi_sweep"; "hi_len"; "lo_phases"; "lo_lines";
-    "channel"; "cap_seed"; "trace_steps";
-  ]
-
-let known_keys = [ "format"; "oracle"; "mutant"; "btb" ] @ int_keys
-
-(* Below these a replayed trial crashes: the keys size the generated
-   programs, or pick a list entry modulo the list's length. *)
-let int_minimums =
-  [
-    ("preset", 0); ("secret_a", 0); ("secret_b", 0); ("slice", 1);
-    ("hi_len", 0); ("lo_phases", 0); ("lo_lines", 0); ("channel", 0);
-  ]
-
-exception Bad of parse_error
-
-let of_string str =
-  let tbl = Hashtbl.create 32 in
-  match
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let fail reason = raise (Bad { line = lineno; reason }) in
-        if String.trim line <> "" then begin
-          let key, value =
-            match String.index_opt line ' ' with
-            | None ->
-              raise
-                (Bad
-                   {
-                     line = lineno;
-                     reason =
-                       Printf.sprintf "missing value (expected `key value`, \
-                                       got %S)" line;
-                   })
-            | Some i ->
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-          in
-          if not (List.mem key known_keys) then
-            fail (Printf.sprintf "unknown key `%s`" key);
-          if Hashtbl.mem tbl key then
-            fail (Printf.sprintf "duplicate key `%s`" key);
-          if String.trim value = "" then
-            fail (Printf.sprintf "missing value for key `%s`" key);
-          (match key with
-          | "format" -> (
-            (* forward compatibility: name the version we cannot read *)
-            match int_of_string_opt value with
-            | Some v when v = format_version -> ()
-            | Some v ->
-              fail
-                (Printf.sprintf
-                   "unsupported replay format %d (this build reads format %d)"
-                   v format_version)
-            | None ->
-              fail (Printf.sprintf "key `format` wants an integer, got %S" value)
-            )
-          | "oracle" ->
-            if oracle_of_string value = None then
-              fail (Printf.sprintf "unknown oracle %S" value)
-          | "mutant" ->
-            if mutant_of_string value = None then
-              fail (Printf.sprintf "unknown mutant %S" value)
-          | "btb" ->
-            if bool_of_string_opt value = None then
-              fail (Printf.sprintf "`btb` wants true/false, got %S" value)
-          | k -> (
-            if int_of_string_opt value = None then
-              fail
-                (Printf.sprintf "key `%s` wants an integer, got %S" k value);
-            match List.assoc_opt k int_minimums with
-            | Some least when int_of_string value < least ->
-              fail (Printf.sprintf "key `%s` must be at least %d" k least)
-            | _ -> ()));
-          Hashtbl.add tbl key value
-        end)
-      (String.split_on_char '\n' str)
-  with
-  | exception Bad e -> Error e
-  | () -> (
-    let require k =
-      match Hashtbl.find_opt tbl k with
-      | Some v -> v
-      | None -> raise (Bad { line = 0; reason = "missing key `" ^ k ^ "`" })
-    in
-    let geti k = int_of_string (require k) in
-    match
-      {
-        seed = geti "seed";
-        idx = geti "idx";
-        oracle = Option.get (oracle_of_string (require "oracle"));
-        mutant = Option.get (mutant_of_string (require "mutant"));
-        preset = geti "preset";
-        btb = bool_of_string (require "btb");
-        lat_seed = geti "lat_seed";
-        secret_a = geti "secret_a";
-        secret_b = geti "secret_b";
-        slice = geti "slice";
-        pad_extra = geti "pad_extra";
-        hi_seed = geti "hi_seed";
-        hi_sweep = geti "hi_sweep";
-        hi_len = geti "hi_len";
-        lo_phases = geti "lo_phases";
-        lo_lines = geti "lo_lines";
-        channel = geti "channel";
-        cap_seed = geti "cap_seed";
-        trace_steps = geti "trace_steps";
-      }
-    with
-    | s -> Ok s
-    | exception Bad e -> Error e)
-
-type load_error = Io of string | Parse of parse_error
-
-let load_error_to_string = function
-  | Io e -> e
-  | Parse e -> Format.asprintf "%a" pp_parse_error e
-
-let save path s =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string s))
-
-let load path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error (Io e)
-  | ic -> (
-    match
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-    with
-    | Ok s -> Ok s
-    | Error e -> Error (Parse e))
 
 let pp ppf s =
   Format.fprintf ppf

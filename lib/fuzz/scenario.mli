@@ -4,8 +4,8 @@
     derived from [(seed, idx)] by {!generate}.  Everything the oracles
     execute — machine config, kernel config, Hi/Lo programs, channel
     choice — is rebuilt on demand from those fields.  This makes the
-    three operations the harness needs trivial: {e replay} (serialise the
-    fields, one [key value] pair per line), {e shrinking} (reduce a field
+    three operations the harness needs trivial: {e replay} (save the
+    fields, a format-1 {!Replay} file), {e shrinking} (reduce a field
     and regenerate), and {e mutation testing} (a [mutant] field weakens
     exactly one defence mechanism when the workload is built). *)
 
@@ -99,37 +99,8 @@ val size : t -> int
 (** Rough scenario weight; shrinking never increases it. *)
 
 val oracle_to_string : oracle -> string
+val oracle_of_string : string -> oracle option
 val mutant_to_string : mutant -> string
 val mutant_of_string : string -> mutant option
-
-type parse_error = { line : int; reason : string }
-(** A malformed replay file: the offending 1-based line (0 when the
-    problem is a missing key, a property of the whole file) and why it
-    was rejected — missing value, non-integer, unknown key, duplicate
-    key, unknown oracle/mutant name. *)
-
-val pp_parse_error : Format.formatter -> parse_error -> unit
-
-type load_error = Io of string | Parse of parse_error
-(** Loading separates "the file cannot be read" from "the file does not
-    parse" so the CLI can map the latter to its usage-error exit
-    code. *)
-
-val load_error_to_string : load_error -> string
-
-val format_version : int
-(** Replay-file format version written by {!to_string} (currently 1).
-    Files with no [format] line — written before the key existed — are
-    read as version 1; a different version is a {!parse_error} naming
-    both versions. *)
-
-val to_string : t -> string
-val of_string : string -> (t, parse_error) result
-(** Replay-file round-trip: [of_string (to_string s) = Ok s].  Never
-    raises on malformed input — every defect is a typed
-    {!parse_error}. *)
-
-val save : string -> t -> unit
-val load : string -> (t, load_error) result
 
 val pp : Format.formatter -> t -> unit

@@ -6,11 +6,6 @@ module Presets = Time_protection.Presets
 module Wcet = Time_protection.Wcet
 module System = Time_protection.System
 
-(* Replay-file format version (see {!Scenario.format_version}): topology
-   files are format 2 — the same [key value] line shape, with repeated
-   [dom]/[sched]/[ipc] lines for the variable-length parts. *)
-let format_version = 2
-
 type dom_spec = {
   d_core : int;
   d_colours : int;
@@ -413,269 +408,6 @@ let size t =
     (fun acc ds -> acc + (ds.d_pages * 8) + (ds.d_wseed mod 40) + 60)
     (100 * n_domains t)
     t.domains
-
-(* ------------------------------------------------------------------ *)
-(* Replay files: format 2                                               *)
-
-let int_fields t =
-  [
-    ("seed", t.seed);
-    ("idx", t.idx);
-    ("n_cores", t.n_cores);
-    ("lat_seed", t.lat_seed);
-    ("secret_a", t.secret_a);
-    ("secret_b", t.secret_b);
-    ("bus_slot", t.bus_slot);
-    ("pad_extra", t.pad_extra);
-    ("deep_hi", t.deep_hi);
-    ("deep_lo", t.deep_lo);
-    ("cap_dom", t.cap_dom);
-    ("cap_obs", t.cap_obs);
-    ("skip_idx", t.skip_idx);
-    ("mis_src", t.mis_src);
-    ("mis_dst", t.mis_dst);
-  ]
-
-let to_string t =
-  let b = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "format %d" format_version;
-  line "mutant %s" (Scenario.mutant_to_string t.mutant);
-  line "smt %b" t.smt;
-  line "btb %b" t.btb;
-  List.iter (fun (k, v) -> line "%s %d" k v) (int_fields t);
-  Array.iter
-    (fun ds ->
-      line "dom %d %d %d %d %d %d" ds.d_core ds.d_colours ds.d_pages
-        ds.d_workload ds.d_wseed ds.d_slice)
-    t.domains;
-  List.iter
-    (fun (core, order) ->
-      line "sched %d %s" core
-        (String.concat " "
-           (List.map string_of_int (Array.to_list order))))
-    t.scheds;
-  List.iter (fun (src, dst) -> line "ipc %d %d" src dst) t.ipc;
-  Buffer.contents b
-
-exception Bad of Scenario.parse_error
-
-let int_keys =
-  [
-    "seed"; "idx"; "n_cores"; "lat_seed"; "secret_a"; "secret_b"; "bus_slot";
-    "pad_extra"; "deep_hi"; "deep_lo"; "cap_dom"; "cap_obs"; "skip_idx";
-    "mis_src"; "mis_dst";
-  ]
-
-let of_string str =
-  let scalars = Hashtbl.create 32 in
-  let doms = ref [] and scheds = ref [] and ipc = ref [] in
-  let known_scalar =
-    [ "format"; "mutant"; "smt"; "btb" ] @ int_keys
-  in
-  match
-    List.iteri
-      (fun i line ->
-        let lineno = i + 1 in
-        let fail reason = raise (Bad { Scenario.line = lineno; reason }) in
-        if String.trim line <> "" then begin
-          let key, value =
-            match String.index_opt line ' ' with
-            | None ->
-              fail
-                (Printf.sprintf
-                   "missing value (expected `key value`, got %S)" line)
-            | Some i ->
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-          in
-          let ints () =
-            List.map
-              (fun w ->
-                match int_of_string_opt w with
-                | Some v -> v
-                | None ->
-                  fail
-                    (Printf.sprintf "key `%s` wants integers, got %S" key w))
-              (List.filter (fun w -> w <> "")
-                 (String.split_on_char ' ' value))
-          in
-          match key with
-          | "dom" -> (
-            match ints () with
-            | [ d_core; d_colours; d_pages; d_workload; d_wseed; d_slice ] ->
-              doms :=
-                { d_core; d_colours; d_pages; d_workload; d_wseed; d_slice }
-                :: !doms
-            | l ->
-              fail
-                (Printf.sprintf "`dom` wants 6 integers, got %d"
-                   (List.length l)))
-          | "sched" -> (
-            match ints () with
-            | core :: (_ :: _ as order) ->
-              scheds := (core, Array.of_list order) :: !scheds
-            | _ -> fail "`sched` wants a core and at least one domain index")
-          | "ipc" -> (
-            match ints () with
-            | [ src; dst ] -> ipc := (src, dst) :: !ipc
-            | l ->
-              fail
-                (Printf.sprintf "`ipc` wants 2 integers, got %d"
-                   (List.length l)))
-          | _ ->
-            if not (List.mem key known_scalar) then
-              fail (Printf.sprintf "unknown key `%s`" key);
-            if Hashtbl.mem scalars key then
-              fail (Printf.sprintf "duplicate key `%s`" key);
-            if String.trim value = "" then
-              fail (Printf.sprintf "missing value for key `%s`" key);
-            (match key with
-            | "format" -> (
-              match int_of_string_opt value with
-              | Some v when v = format_version -> ()
-              | Some v ->
-                fail
-                  (Printf.sprintf
-                     "unsupported replay format %d (this reader reads \
-                      format %d)"
-                     v format_version)
-              | None ->
-                fail
-                  (Printf.sprintf "key `format` wants an integer, got %S"
-                     value))
-            | "mutant" ->
-              if Scenario.mutant_of_string value = None then
-                fail (Printf.sprintf "unknown mutant %S" value)
-            | "smt" | "btb" ->
-              if bool_of_string_opt value = None then
-                fail
-                  (Printf.sprintf "`%s` wants true/false, got %S" key value)
-            | k ->
-              if int_of_string_opt value = None then
-                fail
-                  (Printf.sprintf "key `%s` wants an integer, got %S" k value));
-            Hashtbl.add scalars key value
-        end)
-      (String.split_on_char '\n' str)
-  with
-  | exception Bad e -> Error e
-  | () -> (
-    let fail0 reason = raise (Bad { Scenario.line = 0; reason }) in
-    let require k =
-      match Hashtbl.find_opt scalars k with
-      | Some v -> v
-      | None -> fail0 ("missing key `" ^ k ^ "`")
-    in
-    match
-      let () =
-        if not (Hashtbl.mem scalars "format") then
-          fail0 "missing key `format` (topology files are format 2)"
-      in
-      let geti k = int_of_string (require k) in
-      let domains = Array.of_list (List.rev !doms) in
-      let n = Array.length domains in
-      if n < 2 then fail0 "a topology wants at least 2 `dom` lines";
-      let n_cores = geti "n_cores" in
-      Array.iteri
-        (fun d ds ->
-          if ds.d_core < 0 || ds.d_core >= n_cores then
-            fail0
-              (Printf.sprintf "dom %d: core %d out of range (%d cores)" d
-                 ds.d_core n_cores);
-          if
-            ds.d_colours < 1 || ds.d_pages < 1 || ds.d_slice < 1
-            || ds.d_wseed < 0
-          then
-            fail0
-              (Printf.sprintf
-                 "dom %d: wants at least 1 colour, 1 page, a positive slice \
-                  and a non-negative workload seed"
-                 d))
-        domains;
-      let check_dom what v =
-        if v < 0 || v >= n then
-          fail0
-            (Printf.sprintf "%s: domain index %d out of range (%d domains)"
-               what v n)
-      in
-      let scheds = List.rev !scheds in
-      List.iter
-        (fun (core, order) ->
-          if core < 0 || core >= n_cores then
-            fail0 (Printf.sprintf "sched: core %d out of range" core);
-          Array.iter (check_dom "sched") order;
-          Array.iter
-            (fun d ->
-              if domains.(d).d_core <> core then
-                fail0
-                  (Printf.sprintf
-                     "sched: domain %d lives on core %d, not %d" d
-                     domains.(d).d_core core))
-            order)
-        scheds;
-      let ipc = List.rev !ipc in
-      List.iter
-        (fun (src, dst) ->
-          check_dom "ipc" src;
-          check_dom "ipc" dst;
-          if src >= dst then
-            fail0
-              (Printf.sprintf "ipc: edges must go low to high (got %d %d)"
-                 src dst))
-        ipc;
-      List.iter (fun k -> check_dom k (geti k))
-        [ "deep_hi"; "deep_lo"; "cap_dom"; "cap_obs"; "mis_src"; "mis_dst" ];
-      (* below 0 these crash a replayed trial: they pick a domain and a
-         resource, or a program's shape, modulo a count *)
-      List.iter
-        (fun k -> if geti k < 0 then fail0 (k ^ ": must not be negative"))
-        [ "skip_idx"; "secret_a"; "secret_b" ];
-      {
-        seed = geti "seed";
-        idx = geti "idx";
-        mutant =
-          Option.get (Scenario.mutant_of_string (require "mutant"));
-        n_cores;
-        smt = bool_of_string (require "smt");
-        btb = bool_of_string (require "btb");
-        lat_seed = geti "lat_seed";
-        secret_a = geti "secret_a";
-        secret_b = geti "secret_b";
-        bus_slot = geti "bus_slot";
-        pad_extra = geti "pad_extra";
-        domains;
-        scheds;
-        ipc;
-        deep_hi = geti "deep_hi";
-        deep_lo = geti "deep_lo";
-        cap_dom = geti "cap_dom";
-        cap_obs = geti "cap_obs";
-        skip_idx = geti "skip_idx";
-        mis_src = geti "mis_src";
-        mis_dst = geti "mis_dst";
-      }
-    with
-    | t -> Ok t
-    | exception Bad e -> Error e)
-
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
-
-let load path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error (Scenario.Io e)
-  | ic -> (
-    match
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-    with
-    | Ok t -> Ok t
-    | Error e -> Error (Scenario.Parse e))
 
 let pp ppf t =
   Format.fprintf ppf

@@ -27,10 +27,6 @@
 open Tpro_kernel
 open Tpro_secmodel
 
-val format_version : int
-(** Replay-file format version for topology files (2); {!Scenario}
-    files are format 1. *)
-
 type dom_spec = {
   d_core : int;      (** hosting core *)
   d_colours : int;   (** LLC colours granted (out of the 15 non-kernel) *)
@@ -112,15 +108,5 @@ val pairs : t -> (int * int) list
 
 val size : t -> int
 (** Rough weight for fuel accounting. *)
-
-val to_string : t -> string
-val of_string : string -> (t, Scenario.parse_error) result
-(** Format-2 replay round-trip: [of_string (to_string t) = Ok t].
-    Never raises on malformed input; a missing or alien [format] line,
-    malformed [dom]/[sched]/[ipc] lines, and out-of-range domain or
-    core indices are all typed {!Scenario.parse_error}s. *)
-
-val save : string -> t -> unit
-val load : string -> (t, Scenario.load_error) result
 
 val pp : Format.formatter -> t -> unit

@@ -38,13 +38,15 @@ let test_mutant_run_and_replay () =
         ];
       Alcotest.(check bool) "counterexample file written" true
         (Sys.file_exists out);
-      (match Tpro_fuzz.Scenario.load out with
-      | Ok s ->
+      (match Tpro_fuzz.Replay.load out with
+      | Ok (Tpro_fuzz.Replay.Scenario s) ->
         Alcotest.(check bool) "saved scenario carries the mutant" true
           (s.Tpro_fuzz.Scenario.mutant = Tpro_fuzz.Scenario.Drop_padding)
+      | Ok (Tpro_fuzz.Replay.Topology _) ->
+        Alcotest.fail "fuzz counterexample parsed as a topology"
       | Error e ->
         Alcotest.failf "counterexample unreadable: %s"
-          (Tpro_fuzz.Scenario.load_error_to_string e));
+          (Tpro_fuzz.Replay.load_error_to_string e));
       check_exit "replaying the counterexample exits 1" 1
         [ "fuzz"; "--replay"; out ])
 
@@ -58,12 +60,15 @@ let test_replay_missing_file () =
 let test_replay_malformed_file () =
   let path = Filename.temp_file "tpro-cli-bad" ".txt" in
   let scenario =
-    Tpro_fuzz.Scenario.(
-      to_string { (generate ~seed:42 0) with oracle = Capacity })
+    Tpro_fuzz.(
+      Replay.to_string
+        (Replay.Scenario
+           { (Scenario.generate ~seed:42 0) with oracle = Scenario.Capacity }))
   and topology =
-    Tpro_fuzz.Topology.to_string
-      (Tpro_fuzz.Topology.generate ~seed:42 ~mutant:Tpro_fuzz.Scenario.Skip_flush
-         0)
+    Tpro_fuzz.(
+      Replay.to_string
+        (Replay.Topology
+           (Topology.generate ~seed:42 ~mutant:Scenario.Skip_flush 0)))
   in
   let edit text key replacement =
     Test_fuzz.with_line text ~line:(Test_fuzz.line_of text key) replacement
@@ -86,6 +91,18 @@ let test_replay_malformed_file () =
           ("dom with 0 pages", edit topology "dom" "dom 0 1 0 0 7 3000");
           ("dom with slice 0", edit topology "dom" "dom 0 1 2 0 7 0");
           ("skip_idx -1", edit topology "skip_idx" "skip_idx -1");
+          (* parsed once, then crashed the trial or starved a domain *)
+          ("pad_extra -100000", edit scenario "pad_extra" "pad_extra -100000");
+          ("slice 2^62-1", edit scenario "slice" "slice 4611686018427387903");
+          ("hi_len 10000000", edit scenario "hi_len" "hi_len 10000000");
+          ("lo_lines 100000", edit scenario "lo_lines" "lo_lines 100000");
+          ( "topology pad_extra -50000",
+            edit topology "pad_extra" "pad_extra -50000" );
+          ( "n_cores 2^62-1",
+            edit topology "n_cores" "n_cores 4611686018427387903" );
+          ("dom with 15 colours", edit topology "dom" "dom 0 15 4 3 7 6500");
+          ("dom with 5000 pages", edit topology "dom" "dom 0 2 5000 3 7 6500");
+          ("sched repeating a domain", edit topology "sched" "sched 0 0 0");
         ])
 
 let read_file path =
@@ -336,7 +353,7 @@ let test_topo_mutant_run_and_replay () =
         Alcotest.fail "topo counterexample parsed as a scenario"
       | Error e ->
         Alcotest.failf "counterexample unreadable: %s"
-          (Tpro_fuzz.Scenario.load_error_to_string e));
+          (Tpro_fuzz.Replay.load_error_to_string e));
       check_exit "replaying the counterexample exits 1" 1
         [ "topo"; "--replay"; out ];
       (* the fuzz subcommand reads format-2 files too — Replay

@@ -8,6 +8,38 @@ open Tpro_fuzz
 
 let scenario = Alcotest.testable Scenario.pp ( = )
 
+let replay =
+  Alcotest.testable
+    (fun ppf r -> Format.pp_print_string ppf (Replay.to_string r))
+    ( = )
+
+(* [r] saved to a file and loaded back. *)
+let reload r =
+  let path = Filename.temp_file "tpro-replay" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Replay.save path r;
+      match Replay.load path with
+      | Ok r -> r
+      | Error e ->
+        Alcotest.failf "load failed: %s" (Replay.load_error_to_string e))
+
+let replay_verdict = function
+  | Replay.Scenario s -> Oracle.check s
+  | Replay.Topology t -> Oracle.check_topology t
+
+let check_roundtrip r =
+  match Replay.(of_string (to_string r)) with
+  | Ok r' -> Alcotest.check replay "to_string/of_string" r r'
+  | Error e ->
+    Alcotest.failf "of_string failed: %a in@.%s" Replay.pp_parse_error e
+      (Replay.to_string r)
+
+let mutants =
+  [ Scenario.No_mutant; Scenario.Skip_flush; Scenario.Drop_padding;
+    Scenario.Miscolour ]
+
 let test_generate_deterministic () =
   for idx = 0 to 49 do
     Alcotest.check scenario
@@ -20,33 +52,23 @@ let test_generate_deterministic () =
   Alcotest.(check bool) "different seeds differ" true
     (Scenario.generate ~seed:7 0 <> Scenario.generate ~seed:8 0)
 
+(* Every value the generator draws is in the reader's range. *)
 let test_serialisation_roundtrip () =
   List.iter
     (fun mutant ->
-      for idx = 0 to 19 do
-        let s = Scenario.generate ~seed:3 ~mutant idx in
-        match Scenario.of_string (Scenario.to_string s) with
-        | Ok s' -> Alcotest.check scenario "to_string/of_string" s s'
-        | Error e ->
-          Alcotest.failf "of_string failed: %a" Scenario.pp_parse_error e
+      for idx = 0 to 999 do
+        check_roundtrip
+          (Replay.Scenario (Scenario.generate ~seed:3 ~mutant idx))
       done)
-    [ Scenario.No_mutant; Scenario.Skip_flush; Scenario.Drop_padding;
-      Scenario.Miscolour ]
+    mutants
 
 let test_file_roundtrip () =
-  let s = Scenario.generate ~seed:11 4 in
-  let path = Filename.temp_file "tpro-fuzz" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Scenario.save path s;
-      match Scenario.load path with
-      | Ok s' -> Alcotest.check scenario "save/load" s s'
-      | Error e -> Alcotest.failf "load failed: %s" (Scenario.load_error_to_string e));
-  match Scenario.load "/nonexistent/fuzz-scenario" with
+  let r = Replay.Scenario (Scenario.generate ~seed:11 4) in
+  Alcotest.check replay "save/load" r (reload r);
+  match Replay.load "/nonexistent/fuzz-scenario" with
   | Ok _ -> Alcotest.fail "loading a missing file must not succeed"
-  | Error (Scenario.Io _) -> ()
-  | Error (Scenario.Parse _) ->
+  | Error (Replay.Io _) -> ()
+  | Error (Replay.Parse _) ->
     Alcotest.fail "a missing file is an Io error, not a Parse error"
 
 (* [text] with its 1-based line [line] replaced, and the line of the
@@ -67,24 +89,22 @@ let line_of text key =
 
 (* Malformed replay files yield a typed parse error naming the offending
    line — never an exception, never a silent default. *)
-let check_parse_error
-    ?(parse = fun text -> Result.map ignore (Scenario.of_string text)) name
-    text ~line ~grep =
-  match parse text with
+let check_parse_error name text ~line ~grep =
+  match Replay.of_string text with
   | Ok _ -> Alcotest.failf "%s: malformed input parsed successfully" name
   | Error e ->
-    Alcotest.(check int) (name ^ ": line number") line e.Scenario.line;
+    Alcotest.(check int) (name ^ ": line number") line e.Replay.line;
     let mentions needle hay =
       let lh = String.length hay and ln = String.length needle in
       let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
       go 0
     in
     Alcotest.(check bool)
-      (Printf.sprintf "%s: reason %S mentions %S" name e.Scenario.reason grep)
-      true (mentions grep e.Scenario.reason)
+      (Printf.sprintf "%s: reason %S mentions %S" name e.Replay.reason grep)
+      true (mentions grep e.Replay.reason)
 
 let test_parse_errors_typed () =
-  let base = Scenario.to_string (Scenario.generate ~seed:3 0) in
+  let base = Replay.to_string (Replay.Scenario (Scenario.generate ~seed:3 0)) in
   (* the line a suffix of [base] starts on *)
   let after = List.length (String.split_on_char '\n' base) in
   check_parse_error "missing value" (base ^ "orphan\n") ~line:after
@@ -100,26 +120,42 @@ let test_parse_errors_typed () =
   check_parse_error "line counting" "seed 1\nidx 2\noracle nonint\nidx 9\n"
     ~line:4 ~grep:"duplicate key";
   (* values that parse as integers but would crash the trial, or give a
-     false verdict, on replay *)
+     false verdict, on replay: each key's range is what its generator
+     draws *)
+  let topo =
+    Replay.to_string
+      (Replay.Topology
+         (Topology.generate ~seed:3 ~mutant:Scenario.Skip_flush 0))
+  in
   List.iter
-    (fun (key, value) ->
-      let line = line_of base key in
+    (fun (text, key, value, grep) ->
+      let line = line_of text key in
       check_parse_error
         (Printf.sprintf "%s %d" key value)
-        (with_line base ~line (Printf.sprintf "%s %d" key value))
-        ~line ~grep:"must be at least")
+        (with_line text ~line (Printf.sprintf "%s %d" key value))
+        ~line ~grep)
     [
-      ("preset", -1); ("channel", -1); ("secret_a", -1); ("secret_b", -1);
-      ("slice", 0); ("hi_len", -1); ("lo_phases", -1); ("lo_lines", -1);
+      (base, "preset", -1, "must be at least");
+      (base, "channel", -1, "must be at least");
+      (base, "secret_a", -1, "must be at least");
+      (base, "secret_b", -1, "must be at least");
+      (base, "slice", 0, "must be at least");
+      (base, "hi_len", -1, "must be at least");
+      (base, "lo_phases", -1, "must be at least");
+      (base, "lo_lines", -1, "must be at least");
+      (base, "pad_extra", -100_000, "must be at least");
+      (base, "slice", max_int, "must be at most");
+      (base, "hi_len", 10_000_000, "must be at most");
+      (base, "lo_lines", 100_000, "must be at most");
+      (topo, "skip_idx", -1, "must be at least");
+      (topo, "secret_b", -1, "must be at least");
+      (topo, "pad_extra", -50_000, "must be at least");
+      (topo, "n_cores", max_int, "must be at most");
     ];
-  let topo =
-    Topology.to_string (Topology.generate ~seed:3 ~mutant:Scenario.Skip_flush 0)
-  in
-  let parse text = Result.map ignore (Topology.of_string text) in
-  (* a topology's range checks are on the whole file: line 0 *)
+  (* a topology's shape is checked on the whole file: line 0 *)
   List.iter
     (fun (name, key, replacement, grep) ->
-      check_parse_error ~parse name
+      check_parse_error name
         (with_line topo ~line:(line_of topo key) replacement)
         ~line:0 ~grep)
     [
@@ -127,8 +163,10 @@ let test_parse_errors_typed () =
       ("dom with 0 pages", "dom", "dom 0 1 0 0 7 3000", "at least 1 colour");
       ("dom with slice 0", "dom", "dom 0 1 2 0 7 0", "at least 1 colour");
       ("dom with seed -1", "dom", "dom 0 1 2 0 -1 3000", "at least 1 colour");
-      ("skip_idx -1", "skip_idx", "skip_idx -1", "must not be negative");
-      ("secret_b -1", "secret_b", "secret_b -1", "must not be negative");
+      ("dom with 15 colours", "dom", "dom 1 15 4 3 7 4000", "2 colours");
+      ("dom with 5000 pages", "dom", "dom 1 1 5000 3 7 4000", "6 pages");
+      ("sched repeating a domain", "sched", "sched 0 3 3", "permutation");
+      ("capacity pair of one domain", "cap_obs", "cap_obs 2", "both name");
     ]
 
 (* The generator must actually exercise the whole space: every machine
@@ -194,19 +232,9 @@ let check_mutant_killed ?messages mutant =
     | Oracle.Fail _ -> ()
     | Oracle.Pass -> Alcotest.fail "shrunk counterexample no longer fails");
     (* the replay file reproduces the violation *)
-    let path = Filename.temp_file "tpro-fuzz-kill" ".txt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Scenario.save path shrunk;
-        match Scenario.load path with
-        | Ok s -> (
-          match Oracle.check s with
-          | Oracle.Fail _ -> ()
-          | Oracle.Pass -> Alcotest.fail "replayed scenario no longer fails")
-        | Error e ->
-          Alcotest.failf "replay load failed: %s"
-            (Scenario.load_error_to_string e))
+    match replay_verdict (reload (Replay.Scenario shrunk)) with
+    | Oracle.Fail _ -> ()
+    | Oracle.Pass -> Alcotest.fail "replayed scenario no longer fails"
 
 (* The skip-flush kill's blame is pinned byte for byte — resource, secret
    pair and Lo step — so a change to Lo's view that moves any of them
@@ -333,23 +361,19 @@ let test_topology_coverage () =
 let test_topology_roundtrip () =
   List.iter
     (fun mutant ->
-      for idx = 0 to 19 do
-        let t = Topology.generate ~seed:3 ~mutant idx in
-        match Topology.of_string (Topology.to_string t) with
-        | Ok t' -> Alcotest.check topology "to_string/of_string" t t'
-        | Error e ->
-          Alcotest.failf "of_string failed: %a" Scenario.pp_parse_error e
+      for idx = 0 to 999 do
+        check_roundtrip
+          (Replay.Topology (Topology.generate ~seed:3 ~mutant idx))
       done)
-    [ Scenario.No_mutant; Scenario.Skip_flush; Scenario.Drop_padding;
-      Scenario.Miscolour ]
+    mutants
 
 (* Forward compatibility: scenario files are format 1 and still parse
    when the [format] line is absent (files written before the key
-   existed); a format this build does not know is a typed error naming
-   both versions; and the [Replay] loader dispatches on the line. *)
+   existed); topology files are format 2; and a format this build does
+   not know is a typed error naming both versions. *)
 let test_format_versioning () =
-  let s = Scenario.generate ~seed:11 4 in
-  let text = Scenario.to_string s in
+  let s = Replay.Scenario (Scenario.generate ~seed:11 4) in
+  let text = Replay.to_string s in
   Alcotest.(check bool) "scenario files declare format 1" true
     (contains "format 1\n" text);
   let without_format =
@@ -358,51 +382,40 @@ let test_format_versioning () =
          (fun l -> not (contains "format" l))
          (String.split_on_char '\n' text))
   in
-  (match Scenario.of_string without_format with
-  | Ok s' -> Alcotest.check scenario "pre-versioning file still parses" s s'
+  (match Replay.of_string without_format with
+  | Ok s' -> Alcotest.check replay "pre-versioning file still parses" s s'
   | Error e ->
     Alcotest.failf "pre-versioning scenario rejected: %a"
-      Scenario.pp_parse_error e);
-  (match Scenario.of_string ("format 9\n" ^ without_format) with
-  | Ok _ -> Alcotest.fail "alien format version parsed as a scenario"
-  | Error e ->
-    Alcotest.(check bool)
-      (Printf.sprintf "alien version error names versions: %s"
-         e.Scenario.reason)
-      true
-      (contains "unsupported replay format 9" e.Scenario.reason));
-  let t = Topology.generate ~seed:11 4 in
+      Replay.pp_parse_error e);
+  let t = Replay.Topology (Topology.generate ~seed:11 4) in
   Alcotest.(check bool) "topology files declare format 2" true
-    (contains "format 2\n" (Topology.to_string t));
-  (match Replay.of_string text with
-  | Ok (Replay.Scenario s') ->
-    Alcotest.check scenario "replay dispatch: scenario" s s'
-  | Ok (Replay.Topology _) -> Alcotest.fail "scenario dispatched as topology"
+    (contains "format 2\n" (Replay.to_string t));
+  (match Replay.of_string (Replay.to_string t) with
+  | Ok t' -> Alcotest.check replay "replay dispatch: topology" t t'
   | Error e ->
-    Alcotest.failf "replay dispatch failed: %a" Scenario.pp_parse_error e);
-  (match Replay.of_string (Topology.to_string t) with
-  | Ok (Replay.Topology t') ->
-    Alcotest.check topology "replay dispatch: topology" t t'
-  | Ok (Replay.Scenario _) -> Alcotest.fail "topology dispatched as scenario"
-  | Error e ->
-    Alcotest.failf "replay dispatch failed: %a" Scenario.pp_parse_error e);
-  match Replay.of_string ("format 3\nseed 0\n") with
-  | Ok _ -> Alcotest.fail "unknown format dispatched"
-  | Error e ->
-    Alcotest.(check bool) "dispatch error names supported versions" true
-      (contains "formats 1 and 2" e.Scenario.reason)
+    Alcotest.failf "replay dispatch failed: %a" Replay.pp_parse_error e);
+  List.iter
+    (fun (version, text) ->
+      match Replay.of_string text with
+      | Ok _ -> Alcotest.failf "format %d dispatched" version
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "format %d error names both versions: %s" version
+             e.Replay.reason)
+          true
+          (contains
+             (Printf.sprintf
+                "unsupported replay format %d (this build reads formats 1 \
+                 and 2)"
+                version)
+             e.Replay.reason))
+    [ (9, "format 9\n" ^ without_format); (3, "format 3\nseed 0\n") ]
 
 let test_topology_file_roundtrip () =
-  let t = Topology.generate ~seed:5 ~mutant:Scenario.Miscolour 2 in
-  let path = Filename.temp_file "tpro-topo" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Topology.save path t;
-      match Topology.load path with
-      | Ok t' -> Alcotest.check topology "save/load" t t'
-      | Error e ->
-        Alcotest.failf "load failed: %s" (Scenario.load_error_to_string e))
+  let t =
+    Replay.Topology (Topology.generate ~seed:5 ~mutant:Scenario.Miscolour 2)
+  in
+  Alcotest.check replay "save/load" t (reload t)
 
 (* Acceptance criterion: generated topologies under the full preset show
    zero pairwise violations from any observer domain's viewpoint. *)
@@ -445,22 +458,10 @@ let check_topo_mutant_killed ?message mutant ~expect =
          lemma f.Driver.topo_message)
       true
       (contains ("lemma " ^ lemma ^ " refuted") f.Driver.topo_message);
-    (* the saved file reproduces the violation through the dispatcher *)
-    let path = Filename.temp_file "tpro-topo-kill" ".txt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Topology.save path f.Driver.topology;
-        match Replay.load path with
-        | Ok (Replay.Topology t) -> (
-          match Oracle.check_topology t with
-          | Oracle.Fail _ -> ()
-          | Oracle.Pass -> Alcotest.fail "replayed topology no longer fails")
-        | Ok (Replay.Scenario _) ->
-          Alcotest.fail "topology replay dispatched as scenario"
-        | Error e ->
-          Alcotest.failf "replay load failed: %s"
-            (Scenario.load_error_to_string e))
+    (* the saved file reproduces the violation *)
+    match replay_verdict (reload (Replay.Topology f.Driver.topology)) with
+    | Oracle.Fail _ -> ()
+    | Oracle.Pass -> Alcotest.fail "replayed topology no longer fails"
 
 let test_topo_kill_skip_flush () =
   check_topo_mutant_killed Scenario.Skip_flush ~expect:(fun t ->
@@ -645,6 +646,53 @@ let test_two_domain_instance () =
   | Oracle.Pass -> ()
   | Oracle.Fail m -> Alcotest.failf "2-domain instance fails: %s" m
 
+(* Byte-level damage to a generated replay file ([Test_supervisor.mutate]),
+   or one integer set to an extreme: the file is rejected with a typed
+   error, or it reads back, round-trips and replays without crashing
+   the trial. *)
+let extremes = [| -1; 0; 9_999; 100_000; max_int; min_int |]
+
+let set_extreme text ~line ~word v =
+  let lines = String.split_on_char '\n' text in
+  let set l =
+    match String.split_on_char ' ' l with
+    | key :: (_ :: _ as ws) ->
+      let w = word mod List.length ws in
+      String.concat " "
+        (key :: List.mapi (fun k x -> if k = w then string_of_int v else x) ws)
+    | _ -> l
+  in
+  let line = line mod List.length lines in
+  String.concat "\n"
+    (List.mapi (fun j l -> if j = line then set l else l) lines)
+
+let prop_replay_mutations =
+  QCheck.Test.make ~count:400
+    ~name:"replay: mutated files are rejected or replay cleanly"
+    QCheck.(
+      pair (pair bool small_nat) (quad small_nat small_nat small_nat small_nat))
+    (fun ((topo, idx), (op, a, b, c)) ->
+      let mutant = List.nth mutants (c mod 4) in
+      let text =
+        Replay.to_string
+          (if topo then Replay.Topology (Topology.generate ~seed:17 ~mutant idx)
+           else Replay.Scenario (Scenario.generate ~seed:17 ~mutant idx))
+      in
+      let text =
+        if op mod 6 = 5 then
+          set_extreme text ~line:a ~word:b extremes.(c / 4 mod 6)
+        else Test_supervisor.mutate text (op, a, b)
+      in
+      match Replay.of_string text with
+      | Error _ -> true
+      | Ok r -> (
+        if Replay.(of_string (to_string r)) <> Ok r then
+          QCheck.Test.fail_reportf "no round-trip:@.%s" text;
+        match replay_verdict r with
+        | Oracle.Fail m when contains "exception during trial" m ->
+          QCheck.Test.fail_reportf "%s@.%s" m text
+        | Oracle.Pass | Oracle.Fail _ -> true))
+
 (* Under a mutant every trial fails, but only the reported failure is
    shrunk: a campaign shrinks nothing, and rendering one failure shrinks
    that one alone. *)
@@ -713,6 +761,7 @@ let suite =
       test_legacy_skip_flush_pinned;
     Alcotest.test_case "replay parse errors are typed" `Quick
       test_parse_errors_typed;
+    QCheck_alcotest.to_alcotest prop_replay_mutations;
     Alcotest.test_case "only a rendered failure is shrunk" `Quick
       test_shrink_on_render;
   ]
